@@ -12,7 +12,8 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import isqrt, lcm
+from operator import mul
 from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 B = TypeVar("B", bound=Hashable)
@@ -385,75 +386,204 @@ class TPoly(Generic[R]):
 def matrix_rank(rows: Iterable[Iterable]) -> int:
     """Exact rank over the rationals of a matrix given as row iterables.
 
-    Integer matrices take a fraction-free elimination path (cross-multiplied
-    row updates with gcd reduction) which is much faster than Fraction
-    arithmetic on the dense graded matrices this package produces.
+    Entries are ints, ``Fraction`` values or anything ``Fraction`` converts
+    exactly; rows of unequal length raise :class:`DomainError`.  The rank is
+    computed modulo a prime and certified exactly: ``rank_p <= rank_Q`` holds
+    for every prime p, and ``rank_Q <= rank_p`` follows either from
+    ``rank_p = min(m, n)`` or from ``n - rank_p`` independent kernel vectors
+    whose product with the matrix is checked to be zero in exact integers.
+    No rank is returned without that certificate (see ``_certified_rank``).
     """
     mat = [list(row) for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    if all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-           for row in mat for x in row):
-        return _int_rank([[int(x) for x in row] for row in mat])
-    return _fraction_rank([[Fraction(x) for x in row] for row in mat])
+    for i, row in enumerate(mat):
+        if len(row) != len(mat[0]):
+            raise DomainError(
+                f"ragged matrix: row 0 has {len(mat[0])} entries, row {i} has {len(row)}"
+            )
+    return _certified_rank([_integer_row(row) for row in mat], len(mat[0]) if mat else 0)
 
 
-def _int_rank(mat: list[list[int]]) -> int:
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+def _integer_row(row: list) -> dict[int, int]:
+    """The row as sparse ``{column: int}``, scaled by the lcm of its denominators."""
+    entries = {
+        j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in enumerate(row) if x
+    }
+    den = lcm(*(x.denominator for x in entries.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in entries.items() if x}
+
+
+def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank over Q of the matrix with sparse integer rows and ``ncols`` columns.
+
+    For each prime p of a fixed sequence, the rows are brought to echelon
+    form mod p, which gives rank_p, the pivot columns and one kernel vector
+    per free column (1 on that column, 0 on the other free ones).  Since
+    rank_p <= rank_Q, a prime whose rank is lower than one seen before is
+    unlucky and dropped, and so is one with the same rank but pivots further
+    right (some column prefix lost rank mod p).  The kernels of the primes
+    sharing the best pivot columns are combined by CRT and lifted to Q by
+    rational reconstruction.  If ``M·K = 0`` holds in exact integers, K is
+    n - rank_p independent kernel vectors over Q (identity on the free
+    columns), so rank_Q <= rank_p and the rank is certified; otherwise the
+    next prime joins.  The loop ends: only finitely many primes are unlucky,
+    and by Cramer's rule reconstruction returns the true kernel once the
+    CRT modulus exceeds 2·H² for the Hadamard bound H of the matrix.
+    """
+    rows = [row for row in rows if row]
+    best: list[int] | None = None
+    for p in _primes():
+        a, pivots = _echelon(rows, ncols, p)
+        if len(pivots) == min(len(rows), ncols):
+            return len(pivots)  # rank_p <= rank_Q <= min(m, n)
+        if best is None or len(pivots) > len(best) or (len(pivots) == len(best) and pivots < best):
+            best, residues, modulus = pivots, _kernel(a, pivots, p), p
+        elif pivots == best:
+            residues = _crt(residues, modulus, _kernel(a, pivots, p), p)
+            modulus *= p
+        else:
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank]
-        p = pivot[col]
-        for r in range(rank + 1, len(mat)):
-            row = mat[r]
-            f = row[col]
-            if not f:
-                continue
-            new = [p * a - f * b for a, b in zip(row, pivot)]
-            g = 0
-            for v in new:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [v // g for v in new]
-            mat[r] = new
-        rank += 1
-        if rank == len(mat):
+        vectors = _lift(residues, modulus, pivots, ncols)
+        if vectors is not None and _annihilates(rows, vectors):
+            return len(pivots)
+
+
+def _primes() -> Iterator[int]:
+    """The primes below 2**31, largest first, so that residue products fit in int64.
+
+    Miller-Rabin to the bases 2, 3, 5 and 7 decides primality exactly below 3.2e9.
+    """
+    n = 2**31 - 1
+    while True:
+        if all(_strong_probable_prime(n, base) for base in (2, 3, 5, 7)):
+            yield n
+        n -= 2
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """The Miller-Rabin test of the odd number n to the given base."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _echelon(rows: list[dict[int, int]], ncols: int, p: int):
+    """Row echelon form modulo the prime p of the integer rows, and its pivot columns.
+
+    Pivot entries are 1.  Each pivot updates only the rows below it that are
+    nonzero in its column, and only from that column on.
+    """
+    import numpy as np  # only rank needs numpy; ``import mzvkit`` stays without it
+
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    np.put(a, [i * ncols + j for i, row in enumerate(rows) for j in row],
+           [v % p for row in rows for v in row.values()])
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
             break
-    return rank
-
-
-def _fraction_rank(mat: list[list[Fraction]]) -> int:
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
             continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank]
-        inv = 1 / pivot[col]
-        pivot = [x * inv for x in pivot]
-        mat[rank] = pivot
-        for r in range(rank + 1, len(mat)):
-            row = mat[r]
-            f = row[col]
-            if f:
-                mat[r] = [a - f * b for a, b in zip(row, pivot)]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        pivot = a[r, c:]
+        pivot *= pow(int(pivot[0]), -1, p)
+        pivot %= p
+        if nz.size > 1:
+            below = r + nz[1:]  # the row swapped down was zero in column c
+            block = a[below, c:]
+            block -= block[:, :1] * pivot  # stays above -2**62: no int64 overflow
+            block %= p
+            a[below, c:] = block
+        pivots.append(c)
+    return a, pivots
+
+
+def _kernel(a, pivots: list[int], p: int) -> list[list[int]]:
+    """Kernel modulo p of echelon rows, by back substitution.
+
+    Vector k is 1 on the k-th free column and 0 on the other free columns;
+    it is given by its residues on the pivot columns, in order.
+    """
+    import numpy as np
+
+    ncols = a.shape[1]
+    free = sorted(set(range(ncols)) - set(pivots))
+    x = np.zeros((ncols, len(free)), dtype=np.int64)
+    x[free, range(len(free))] = 1
+    minus = -a[:len(pivots)] % p
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        # at most ncols residues below 2**31 are summed: no int64 overflow
+        x[c] = (minus[i, c + 1:, None] * x[c + 1:] % p).sum(axis=0) % p
+    return x[pivots].T.tolist()
+
+
+def _crt(residues: list[list[int]], modulus: int, kernel: list[list[int]], p: int) -> list[list[int]]:
+    """Residues mod ``modulus * p`` from residues mod ``modulus`` and mod the prime p."""
+    inv = pow(modulus, -1, p)
+    return [
+        [a + modulus * ((b - a) * inv % p) for a, b in zip(res, ker)]
+        for res, ker in zip(residues, kernel)
+    ]
+
+
+def _lift(
+    residues: list[list[int]], modulus: int, pivots: list[int], ncols: int
+) -> list[list[int]] | None:
+    """Dense integer kernel vectors from their residues, or None if one fails to lift.
+
+    Entries are reconstructed as fractions with numerator and denominator at
+    most sqrt(modulus / 2), each after scaling by the denominators found so
+    far in its vector; the vector is scaled by their product.
+    """
+    bound = isqrt(modulus // 2)
+    free = sorted(set(range(ncols)) - set(pivots))
+    vectors = []
+    for col, res in zip(free, residues):
+        den, nums = 1, []
+        for u in res:
+            q = _rational(u * den % modulus, modulus, bound)
+            if q is None:
+                return None
+            num, q_den = q
+            if q_den != 1:
+                nums = [x * q_den for x in nums]
+                den *= q_den
+            nums.append(num)
+        vec = [0] * ncols
+        vec[col] = den
+        for c, num in zip(pivots, nums):
+            vec[c] = num
+        vectors.append(vec)
+    return vectors
+
+
+def _rational(u: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(a, b) with a/b ≡ u (mod m), |a| <= bound and 0 < b <= bound, by the half extended gcd."""
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _annihilates(rows: list[dict[int, int]], vectors: list[list[int]]) -> bool:
+    """Whether every vector is in the kernel of the rows, in exact integers."""
+    for row in rows:
+        cols, vals = list(row), list(row.values())
+        for vec in vectors:
+            if sum(map(mul, vals, map(vec.__getitem__, cols))):
+                return False
+    return True

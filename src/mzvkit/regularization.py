@@ -334,14 +334,16 @@ def relation_rank(weight: int) -> tuple[int, int]:
     """(exact rank of the extended relation set, upper bound on the graded dimension).
 
     The bound is the number of convergent compositions of the weight minus
-    the rank of the relations inside their span, computed by exact
-    elimination over the rationals.
+    the rank of the relations inside their span.  The rank is exact: it is
+    computed modulo primes and certified by :func:`~mzvkit.core.matrix_rank`
+    with an integer kernel K whose product with the relation matrix is
+    checked to be zero, so the bound is the dimension of that kernel.
     """
     basis = convergent_compositions(weight)
     index = {s: i for i, s in enumerate(basis)}
     rows = []
     for rel in extended_double_shuffle_relations(weight):
-        row = [Fraction(0)] * len(basis)
+        row = [0] * len(basis)
         for term, coeff in rel.terms.items():
             if term not in index:
                 raise AssertionError(f"relation escapes the convergent span: {term}")

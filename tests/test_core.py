@@ -1,10 +1,14 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from mzvkit import core
 from mzvkit.core import (
+    DomainError,
     LinComb,
     MergeUndefinedError,
     TPoly,
@@ -227,3 +231,102 @@ class TestMatrixRank:
             rows = [[x * y for y in v] for x in u]
             expected = 1 if any(u) and any(v) else 0
             assert matrix_rank(rows) == expected
+
+    def test_random_against_fraction_oracle(self):
+        rng = random.Random(2024)
+
+        def entry():
+            x = rng.randint(-5, 5)
+            return Fraction(x, rng.randint(2, 5)) if rng.random() < 0.2 else x
+
+        for trial in range(240):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            if trial % 2:
+                # a product through k < min(m, n) columns: rank deficient by construction
+                k = rng.randint(0, min(m, n) - 1)
+                left = [[entry() for _ in range(k)] for _ in range(m)]
+                right = [[entry() for _ in range(n)] for _ in range(k)]
+                rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+                        for i in range(m)]
+            else:
+                rows = [[entry() for _ in range(n)] for _ in range(m)]
+            expected = fraction_rank(rows)
+            assert matrix_rank(rows) == expected, rows
+            if trial % 2:
+                assert expected <= k
+
+    def test_unlucky_prime_is_dropped(self, monkeypatch):
+        primes = core._primes()
+        p, q = next(primes), next(primes)
+        ranks = _ranks_mod_p(monkeypatch)
+        # singular only modulo the first prime
+        assert matrix_rank([[p, 0], [0, 1]]) == 2
+        assert ranks == [1, 2]
+        ranks.clear()
+        # rank deficient: the first prime's kernel fails the certificate
+        assert matrix_rank([[p, 0, 0], [0, 1, 0], [0, 2, 0]]) == 2
+        assert ranks == [1, 2]
+        ranks.clear()
+        # same rank modulo the first prime, but its pivot lies right of the true one;
+        # the kernel entry -1/p then needs sqrt(modulus / 2) >= p, i.e. four primes
+        assert matrix_rank([[p, 1, 0], [2 * p, 2, 0]]) == 1
+        assert ranks == [1, 1, 1, 1]
+        ranks.clear()
+        # the second prime loses rank while the kernel still needs more primes:
+        # it is skipped and the CRT goes on with the first prime's residues
+        a, b = 2**40 + 1, 3**25
+        assert matrix_rank([[q, 0, 0, 0], [0, 1, 0, 0], [0, 2, 0, 0], [0, 0, a, b]]) == 3
+        assert ranks == [3, 2, 3, 3]
+
+    def test_kernel_needs_several_primes(self, monkeypatch):
+        a, b = 2**40 + 1, 3**25
+        ranks = _ranks_mod_p(monkeypatch)
+        assert matrix_rank([[a, b]]) == 1  # rank_p equals the row count: no kernel needed
+        assert ranks == [1]
+        ranks.clear()
+        # the kernel (-b/a, 1) has a 41-bit denominator: three primes give the bound
+        assert matrix_rank([[a, b], [2 * a, 2 * b]]) == 1
+        assert ranks == [1, 1, 1]
+
+    def test_package_import_leaves_numpy_out(self):
+        code = "import sys, mzvkit; sys.exit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DomainError, match="row 0 has 1 entries, row 1 has 2"):
+            matrix_rank([[1], [2, 5]])
+        with pytest.raises(DomainError, match="row 0 has 2 entries, row 1 has 1"):
+            matrix_rank([[1, 2], [3]])
+
+
+def fraction_rank(rows):
+    """Reference rank: Gauss elimination over the rationals."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pivot = [x / mat[rank][col] for x in mat[rank]]
+        mat[rank] = pivot
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            if f:
+                mat[r] = [a - f * b for a, b in zip(mat[r], pivot)]
+        rank += 1
+    return rank
+
+
+def _ranks_mod_p(monkeypatch):
+    """Record the rank found modulo each prime that matrix_rank tries."""
+    ranks = []
+    echelon = core._echelon
+
+    def spy(rows, ncols, p):
+        a, pivots = echelon(rows, ncols, p)
+        ranks.append(len(pivots))
+        return a, pivots
+
+    monkeypatch.setattr(core, "_echelon", spy)
+    return ranks

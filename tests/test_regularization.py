@@ -240,6 +240,17 @@ class TestRelationRank:
         assert relation_rank(6)[1] == 2
         assert relation_rank(7)[1] == 3
 
+    @pytest.mark.parametrize("weight, expected", [
+        (2, (0, 1)), (3, (1, 1)), (4, (3, 1)), (5, (6, 2)), (6, (14, 2)),
+        (7, (29, 3)), (8, (60, 4)), (9, (123, 5)), (10, (249, 7)),
+    ])
+    def test_pinned_rank_and_bound(self, weight, expected):
+        assert relation_rank(weight) == expected
+
+    def test_weight_11(self):
+        # d_11 = 9, the dimension Zagier conjectured
+        assert relation_rank(11) == (503, 9)
+
 
 class TestRhoMap:
     def test_gamma_values(self):
