@@ -1,11 +1,13 @@
 """Integer-composition algebras: extended shuffle, first-entry shift, stuffle.
 
-Compositions with entries >= 0 carry the extended shuffle product, defined
-by recursion on the leading entries (leading zeros pop out front, otherwise
-both first entries are lowered and re-raised through the shift operator).
-Positive compositions additionally carry the stuffle (quasi-shuffle)
-product, and two-row symbols extend stuffle to the directional setting used
-by regularized MZVs.
+Compositions with entries >= 0 carry the extended shuffle product.  It is
+the product of the free commutative nonunitary Rota-Baxter algebra on one
+generator (:mod:`mzvkit.free_rba`) transported through the basis bijection
+``free_rba.to_composition``: map both entry tuples to exponent tensors, add
+the first exponents, shuffle the remaining slots with the core engine and
+map each term back.  Positive compositions additionally carry the stuffle
+(quasi-shuffle) product, and two-row symbols extend stuffle to the
+directional setting used by regularized MZVs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from functools import lru_cache
 from itertools import product as iter_product
 
 from .core import DomainError, LinComb, bilinear, mixable_shuffle
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,46 +105,54 @@ def raise_first(s: Composition) -> Composition:
     return Composition((s.entries[0] + 1,) + s.entries[1:])
 
 
+def exponents_to_entries(exps: tuple[int, ...]) -> tuple[int, ...]:
+    """Entries of the composition an exponent tensor (n0, n1, ..., nl) maps to.
+
+    n0 zeros, then for each later slot a 1 followed by n_i - 1 zeros; slots
+    with n_i = 0 collapse into the preceding 1, raising it instead of opening
+    a new block.  This is ``free_rba.to_composition`` on exponent tuples.
+    """
+    entries: list[int] = [0] * exps[0]
+    pending = 0
+    for n in exps[1:]:
+        pending += 1
+        if n >= 1:
+            entries.append(pending)
+            entries.extend([0] * (n - 1))
+            pending = 0
+    return tuple(entries)
+
+
+def entries_to_exponents(entries: tuple[int, ...]) -> tuple[int, ...]:
+    """Inverse of :func:`exponents_to_entries`.
+
+    Leading zeros count into the first slot; each positive entry e opens
+    e - 1 zero slots and one slot of exponent 1, which the zeros after it
+    raise.
+    """
+    exps = [0]
+    for e in entries:
+        if e:
+            exps.extend([0] * (e - 1))
+            exps.append(1)
+        else:
+            exps[-1] += 1
+    return tuple(exps)
+
+
 @lru_cache(maxsize=8192)
 def _shuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[tuple[int, ...]]:
-    memo: dict[tuple, dict[tuple, Fraction]] = {}
-
-    def rec(x: tuple[int, ...], y: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        if not x:
-            return {y: _ONE}
-        if not y:
-            return {x: _ONE}
-        key = (x, y)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        out: dict[tuple[int, ...], Fraction] = {}
-        if x[0] == 0:
-            for tail, c in rec(x[1:], y).items():
-                k = (0,) + tail
-                out[k] = out.get(k, 0) + c
-        elif y[0] == 0:
-            for tail, c in rec(x, y[1:]).items():
-                k = (0,) + tail
-                out[k] = out.get(k, 0) + c
-        else:
-            for tail, c in rec((x[0] - 1,) + x[1:], y).items():
-                k = (tail[0] + 1,) + tail[1:]
-                out[k] = out.get(k, 0) + c
-            for tail, c in rec(x, (y[0] - 1,) + y[1:]).items():
-                k = (tail[0] + 1,) + tail[1:]
-                out[k] = out.get(k, 0) + c
-        memo[key] = out
-        return out
-
-    return LinComb(rec(s, t))
+    x, y = entries_to_exponents(s), entries_to_exponents(t)
+    head = (x[0] + y[0],)
+    return mixable_shuffle(x[1:], y[1:]).map_basis(lambda tail: exponents_to_entries(head + tail))
 
 
 def shuffle(s: Composition, t: Composition) -> LinComb[Composition]:
     """Extended shuffle on compositions with entries >= 0.
 
-    Leading zeros are pulled out front; otherwise each factor donates its
-    lowered first entry and the shift operator restores it.  On positive
+    The free Rota-Baxter product of the two exponent tensors, read back as
+    compositions: [0] is the generator and the first-entry shift the
+    operator.  Leading zeros are pulled out front, and on positive
     compositions this is exactly the word shuffle transported through the
     word/composition bijection.
     """
@@ -179,14 +187,19 @@ def _merge_pairs(a: tuple[int, Fraction], b: tuple[int, Fraction]) -> tuple[int,
     return (a[0] + b[0], a[1] + b[1])
 
 
-def bistuffle(u: BiComposition, v: BiComposition) -> LinComb[BiComposition]:
-    """Quasi-shuffle of two-row symbols; merged columns add componentwise."""
-    a = tuple(zip(u.s_row, u.r_row))
-    b = tuple(zip(v.s_row, v.r_row))
-    raw = mixable_shuffle(a, b, weight=1, merge=_merge_pairs)
+def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiComposition]:
+    """Mixable shuffle of the (s, r) columns of two-row symbols at the given weight."""
+    raw = mixable_shuffle(
+        tuple(zip(u.s_row, u.r_row)), tuple(zip(v.s_row, v.r_row)), weight, _merge_pairs
+    )
     return raw.map_basis(
         lambda cols: BiComposition(tuple(s for s, _ in cols), tuple(r for _, r in cols))
     )
+
+
+def bistuffle(u: BiComposition, v: BiComposition) -> LinComb[BiComposition]:
+    """Quasi-shuffle of two-row symbols; merged columns add componentwise."""
+    return _column_shuffle(u, v, 1)
 
 
 def bistuffle_lin(a: LinComb[BiComposition], b: LinComb[BiComposition]) -> LinComb[BiComposition]:

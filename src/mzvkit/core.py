@@ -1,10 +1,14 @@
 """Exact algebraic kernel shared by every product in the package.
 
-Everything here is coefficient-exact: linear combinations over an arbitrary
-hashable basis with ``Fraction`` coefficients, polynomials in the formal
-symbol T over a caller-chosen coefficient ring, and the generic mixable
-shuffle recursion that the word shuffle, the composition shuffle and both
-quasi-shuffle products instantiate.
+One sparse-sum base, :class:`Sparse`, owns the pruned ``{key: coefficient}``
+dict and its arithmetic for all four coefficient types of the package:
+linear combinations over an arbitrary hashable basis with ``Fraction``
+coefficients (:class:`LinComb`), polynomials in the formal symbol T over a
+caller-chosen coefficient ring (:class:`TPoly`), and, in their own modules,
+polynomials in MZV symbols and Laurent polynomials in eps.  Next to them
+sit the generic mixable shuffle recursion that the word shuffle, the
+composition shuffle and both quasi-shuffle products instantiate, and the
+certified exact matrix rank.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 B = TypeVar("B", bound=Hashable)
@@ -33,42 +37,58 @@ class MergeUndefinedError(DomainError):
     """A weighted shuffle tried to merge a pair of atoms it cannot combine."""
 
 
-class LinComb(Generic[B]):
-    """Finite formal sum of basis elements with nonzero rational coefficients.
+class Sparse:
+    """Finite formal sum ``{key: coefficient}`` with zero coefficients pruned.
 
-    Zero coefficients are pruned on construction, so equality is term-set
-    equality. Instances never mutate; all arithmetic returns fresh objects.
+    The one sparse-dict type behind :class:`LinComb`, :class:`TPoly`,
+    :class:`~mzvkit.regularization.ZetaExpr` and
+    :class:`~mzvkit.numerics.LaurentPoly`.  A subclass fixes three constants:
+    ``_coerce`` converts coefficients (``Fraction`` unless overridden),
+    ``_key`` validates or normalises a key on construction (none by default),
+    and ``_mul_key`` combines the keys of two terms in a product (none: the
+    type has no product of its own).  Equality is term-set equality between
+    values of the same type.  Instances never mutate.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[B, Scalar] | Iterable[tuple[B, Scalar]] = ()):
+    _coerce: Callable = Fraction
+    _key: Callable | None = None
+    _mul_key: Callable | None = None
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[B, Fraction] = {}
-        for basis, coeff in items:
-            c = acc.get(basis, _ZERO) + Fraction(coeff)
+        coerce, key_of = self._coerce, self._key
+        acc: dict = {}
+        for key, c in items:
+            if key_of is not None:
+                key = key_of(key)
+            c = coerce(c)
+            if key in acc:
+                c = acc[key] + c
             if c:
-                acc[basis] = c
+                acc[key] = c
             else:
-                acc.pop(basis, None)
+                acc.pop(key, None)
         self._terms = acc
 
     @classmethod
-    def zero(cls) -> "LinComb[B]":
-        return cls()
+    def _new(cls, terms: dict):
+        """Wrap an already pruned dict without copying it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
-    def single(cls, basis: B, coeff: Scalar = 1) -> "LinComb[B]":
-        return cls({basis: coeff})
+    def zero(cls):
+        return cls()
 
-    def items(self) -> Iterator[tuple[B, Fraction]]:
+    def items(self) -> Iterator[tuple]:
         return iter(self._terms.items())
 
-    def support(self) -> Iterator[B]:
-        return iter(self._terms)
-
-    def coeff(self, basis: B) -> Fraction:
-        return self._terms.get(basis, _ZERO)
+    def coeff(self, key, default=0):
+        c = self._terms.get(key)
+        return self._coerce(default) if c is None else c
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -77,31 +97,88 @@ class LinComb(Generic[B]):
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinComb):
+        if type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
     __hash__ = None  # type: ignore[assignment]  # mutable-dict backed; not hashable
 
-    def __add__(self, other: "LinComb[B]") -> "LinComb[B]":
-        return self.combine(other, _ONE)
+    def _merge(self, other, negate: bool):
+        if type(other) is not type(self):
+            return NotImplemented
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            if negate:
+                c = -c
+            if key in acc:
+                c = acc[key] + c
+            if c:
+                acc[key] = c
+            else:
+                acc.pop(key, None)
+        return self._new(acc)
 
-    def __sub__(self, other: "LinComb[B]") -> "LinComb[B]":
-        return self.combine(other, -_ONE)
+    def __add__(self, other):
+        return self._merge(other, False)
 
-    def __neg__(self) -> "LinComb[B]":
-        return self.scale(-_ONE)
+    def __sub__(self, other):
+        return self._merge(other, True)
 
-    def __rmul__(self, scalar: Scalar) -> "LinComb[B]":
+    def __neg__(self):
+        return self._new({k: -c for k, c in self._terms.items()})
+
+    def scale(self, scalar):
+        s = self._coerce(scalar)
+        if not s:
+            return self._new({})
+        return self._new({k: v for k, c in self._terms.items() if (v := c * s)})
+
+    def map_coeffs(self, f: Callable):
+        """Apply f to every coefficient, keeping the keys and pruning zeros."""
+        coerce = self._coerce
+        return self._new({k: v for k, c in self._terms.items() if (v := coerce(f(c)))})
+
+    def __mul__(self, other):
+        """Product of two sums of the same type through ``_mul_key``; otherwise scaling."""
+        if type(other) is not type(self):
+            return self.scale(other)
+        mul_key = self._mul_key
+        if mul_key is None:
+            return NotImplemented
+        acc: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key, c = mul_key(k1, k2), c1 * c2
+                if key in acc:
+                    c = acc[key] + c
+                if c:
+                    acc[key] = c
+                else:
+                    acc.pop(key, None)
+        return self._new(acc)
+
+    def __rmul__(self, scalar):
         return self.scale(scalar)
 
-    def scale(self, scalar: Scalar) -> "LinComb[B]":
-        s = Fraction(scalar)
-        if not s:
-            return LinComb()
-        out: LinComb[B] = LinComb.__new__(LinComb)
-        out._terms = {b: c * s for b, c in self._terms.items()}
-        return out
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._terms!r})"
+
+
+class LinComb(Sparse, Generic[B]):
+    """Finite formal sum of basis elements with nonzero rational coefficients.
+
+    Zero coefficients are pruned on construction, so equality is term-set
+    equality. Instances never mutate; all arithmetic returns fresh objects.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def single(cls, basis: B, coeff: Scalar = 1) -> "LinComb[B]":
+        return cls({basis: coeff})
+
+    def support(self) -> Iterator[B]:
+        return iter(self._terms)
 
     def combine(self, other: "LinComb[B]", scalar: Scalar) -> "LinComb[B]":
         """Return ``self + scalar * other`` with zero terms pruned."""
@@ -114,9 +191,7 @@ class LinComb(Generic[B]):
                     acc[basis] = c
                 else:
                     acc.pop(basis, None)
-        out: LinComb[B] = LinComb.__new__(LinComb)
-        out._terms = acc
-        return out
+        return LinComb._new(acc)
 
     def map_basis(self, f: Callable[[B], B]) -> "LinComb[B]":
         """Push the sum through a basis map, collecting collisions."""
@@ -132,9 +207,7 @@ class LinComb(Generic[B]):
                     acc[b2] = c
                 else:
                     acc.pop(b2, None)
-        out: LinComb = LinComb.__new__(LinComb)
-        out._terms = acc
-        return out
+        return LinComb._new(acc)
 
     def coefficient_sum(self) -> Fraction:
         return sum(self._terms.values(), _ZERO)
@@ -159,9 +232,6 @@ class LinComb(Generic[B]):
             parts.append(f"{lead}{basis}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"LinComb({self._terms!r})"
 
 
 def _sort_key(basis):
@@ -194,9 +264,7 @@ def bilinear(
                     acc[w] = c
                 else:
                     acc.pop(w, None)
-    out: LinComb[B] = LinComb.__new__(LinComb)
-    out._terms = acc
-    return out
+    return LinComb._new(acc)
 
 
 def mixable_shuffle(
@@ -253,32 +321,29 @@ def mixable_shuffle(
     return LinComb(rec(tuple(a), tuple(b)))
 
 
-class TPoly(Generic[R]):
+def _same(c):
+    return c
+
+
+def _nonnegative_degree(deg: int) -> int:
+    if deg < 0:
+        raise DomainError("T-polynomials have non-negative degrees")
+    return deg
+
+
+class TPoly(Sparse, Generic[R]):
     """Sparse polynomial in the formal symbol T over a coefficient ring R.
 
-    R only needs ``+``, ``*`` and truthiness of zero (``Fraction``, ``float``,
-    mpmath floats and :class:`~mzvkit.regularization.ZetaExpr` all qualify).
+    R only needs ``+``, ``*``, negation and truthiness of zero (``Fraction``,
+    ``float``, mpmath floats and :class:`~mzvkit.regularization.ZetaExpr` all
+    qualify); coefficients are kept as given.  Degrees are non-negative.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[int, R] | Iterable[tuple[int, R]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[int, R] = {}
-        for deg, c in items:
-            if deg < 0:
-                raise DomainError("T-polynomials have non-negative degrees")
-            if deg in acc:
-                c = acc[deg] + c
-            if c:
-                acc[deg] = c
-            else:
-                acc.pop(deg, None)
-        self._coeffs = acc
-
-    @classmethod
-    def zero(cls) -> "TPoly[R]":
-        return cls()
+    _coerce = staticmethod(_same)
+    _key = staticmethod(_nonnegative_degree)
+    _mul_key = staticmethod(add)
 
     @classmethod
     def constant(cls, c: R) -> "TPoly[R]":
@@ -288,83 +353,24 @@ class TPoly(Generic[R]):
     def t_power(cls, n: int, c: R) -> "TPoly[R]":
         return cls({n: c} if c else {})
 
-    def coeff(self, deg: int, default=0):
-        return self._coeffs.get(deg, default)
-
-    def items(self) -> Iterator[tuple[int, R]]:
-        return iter(self._coeffs.items())
-
     def degree(self) -> int:
         """Degree of a nonzero polynomial; -1 for the zero polynomial."""
-        return max(self._coeffs, default=-1)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "TPoly[R]") -> "TPoly[R]":
-        acc = dict(self._coeffs)
-        for deg, c in other._coeffs.items():
-            if deg in acc:
-                c = acc[deg] + c
-            if c:
-                acc[deg] = c
-            else:
-                acc.pop(deg, None)
-        out: TPoly[R] = TPoly.__new__(TPoly)
-        out._coeffs = acc
-        return out
-
-    def __neg__(self) -> "TPoly[R]":
-        return self.map_coeffs(lambda c: -c)
-
-    def __sub__(self, other: "TPoly[R]") -> "TPoly[R]":
-        return self + (-other)
-
-    def __mul__(self, other: "TPoly[R]") -> "TPoly[R]":
-        acc: dict[int, R] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                d = d1 + d2
-                c = c1 * c2
-                if d in acc:
-                    c = acc[d] + c
-                if c:
-                    acc[d] = c
-                else:
-                    acc.pop(d, None)
-        out: TPoly[R] = TPoly.__new__(TPoly)
-        out._coeffs = acc
-        return out
-
-    def scale(self, scalar) -> "TPoly[R]":
-        if not scalar:
-            return TPoly()
-        return self.map_coeffs(lambda c: c * scalar)
-
-    def map_coeffs(self, f) -> "TPoly":
-        return TPoly((deg, f(c)) for deg, c in self._coeffs.items())
+        return max(self._terms, default=-1)
 
     def __call__(self, t_value):
         """Evaluate at a concrete T value (Horner is overkill at these sizes)."""
         total = None
-        for deg, c in self._coeffs.items():
+        for deg, c in self._terms.items():
             term = c * t_value**deg
             total = term if total is None else total + term
         return 0 if total is None else total
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         parts = []
-        for deg in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[deg]
+        for deg in sorted(self._terms, reverse=True):
+            c = self._terms[deg]
             mono = "" if deg == 0 else ("T" if deg == 1 else f"T^{deg}")
             text = str(c)
             if " " in text or "+" in text.strip("-"):
@@ -378,9 +384,6 @@ class TPoly(Generic[R]):
                     text = f"{text}*{mono}"
             parts.append(text)
         return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"TPoly({self._coeffs!r})"
 
 
 def matrix_rank(rows: Iterable[Iterable]) -> int:

@@ -344,11 +344,10 @@ def to_text(node: Node) -> str:
     if isinstance(node, BinOp):
         return f"{to_text(node.left)} {node.op} {to_text(node.right)}"
     if isinstance(node, Call):
-        sep = "; " if node.name == "msh" else ", "
         if node.name == "msh":
             head, *rest = node.args
             return f"msh({to_text(head)}; " + ", ".join(to_text(a) for a in rest) + ")"
-        return f"{node.name}(" + sep.join(to_text(a) for a in node.args) + ")"
+        return f"{node.name}(" + ", ".join(to_text(a) for a in node.args) + ")"
     raise KindError(f"unknown node {node!r}")
 
 
@@ -429,16 +428,11 @@ def _mixable_on_kind(kind: str, weight: Fraction, a: LinComb, b: LinComb) -> Lin
             return mixable_shuffle(u.letters, v.letters, weight).map_basis(words.Word)
     elif kind == COMPOSITION:
         def product(u, v):
-            return mixable_shuffle(u.entries, v.entries, weight, lambda x, y: x + y).map_basis(
+            return mixable_shuffle(u.entries, v.entries, weight, comp._add_entries).map_basis(
                 comp.Composition
             )
     else:
         def product(u, v):
-            cols_a = tuple(zip(u.s_row, u.r_row))
-            cols_b = tuple(zip(v.s_row, v.r_row))
-            raw = mixable_shuffle(cols_a, cols_b, weight, lambda x, y: (x[0] + y[0], x[1] + y[1]))
-            return raw.map_basis(
-                lambda cols: comp.BiComposition(tuple(s for s, _ in cols), tuple(r for _, r in cols))
-            )
+            return comp._column_shuffle(u, v, weight)
 
     return bilinear(product, a, b)

@@ -83,20 +83,10 @@ def to_word_sum(t: TensorWord) -> LinComb[words.Word]:
 def to_composition(t: TensorWord) -> comp.Composition:
     """Basis-to-basis isomorphism onto compositions, generator to [0].
 
-    Image of (n0, n1, ..., nl): n0 zeros, then for each later slot a 1
-    followed by n_i - 1 zeros; slots with n_i = 0 collapse into the
-    preceding 1, raising it instead of opening a new block.
+    The entry map is :func:`~mzvkit.compositions.exponents_to_entries`; the
+    composition shuffle is this module's product carried through it.
     """
-    exps = t.exponents
-    entries: list[int] = [0] * exps[0]
-    pending = 0
-    for n in exps[1:]:
-        pending += 1
-        if n >= 1:
-            entries.append(pending)
-            entries.extend([0] * (n - 1))
-            pending = 0
-    return comp.Composition(tuple(entries))
+    return comp.Composition(comp.exponents_to_entries(t.exponents))
 
 
 def evaluate(

@@ -19,16 +19,17 @@ demand literal zero.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
 
 from .compositions import BiComposition, Composition
-from .core import DomainError, TPoly
+from .core import DomainError, Sparse, TPoly
 
 
 class PrecisionError(ArithmeticError):
@@ -118,71 +119,18 @@ def zeta_nonpos(i: int) -> Fraction:
     return -bernoulli(i + 1) / (i + 1)
 
 
-class LaurentPoly:
+class LaurentPoly(Sparse):
     """Finite Laurent polynomial in eps with exact rational coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc: dict[int, Fraction] = {}
-        for exp, c in items:
-            c = acc.get(exp, Fraction(0)) + Fraction(c)
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        self._coeffs = acc
-
-    def coeff(self, exp: int) -> Fraction:
-        return self._coeffs.get(exp, Fraction(0))
-
-    def items(self):
-        return iter(sorted(self._coeffs.items()))
-
-    def __bool__(self):
-        return bool(self._coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            c = acc.get(exp, Fraction(0)) + c
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        return LaurentPoly(acc)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                c = acc.get(e, Fraction(0)) + c1 * c2
-                if c:
-                    acc[e] = c
-                else:
-                    acc.pop(e, None)
-        return LaurentPoly(acc)
+    _mul_key = staticmethod(operator.add)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         parts = []
-        for exp, c in self.items():
+        for exp, c in sorted(self._terms.items()):
             mono = "" if exp == 0 else ("eps" if exp == 1 else f"eps^{exp}")
             if not mono:
                 parts.append(str(c))
@@ -194,13 +142,10 @@ class LaurentPoly:
                 parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def __repr__(self):
-        return f"LaurentPoly({dict(self.items())!r})"
-
 
 def pole_part(f: LaurentPoly) -> LaurentPoly:
     """Keep exactly the negative-exponent terms (Rota-Baxter of weight -1)."""
-    return LaurentPoly({e: c for e, c in f._coeffs.items() if e < 0})
+    return LaurentPoly((e, c) for e, c in f.items() if e < 0)
 
 
 def geometric_kernel(order: int) -> LaurentPoly:

@@ -28,7 +28,7 @@ from .compositions import (
     shuffle,
     stuffle,
 )
-from .core import DomainError, LinComb, TPoly, matrix_rank
+from .core import DomainError, LinComb, Sparse, TPoly, matrix_rank
 from .numerics import DEFAULT_CTX, PrecisionContext, zeta_pos
 
 
@@ -56,30 +56,29 @@ class MZVSymbol:
 Monomial = tuple[MZVSymbol, ...]
 
 
-class ZetaExpr:
+def _monomial(symbols) -> Monomial:
+    return tuple(sorted(symbols, key=MZVSymbol.sort_key))
+
+
+def _monomial_product(m1: Monomial, m2: Monomial) -> Monomial:
+    return _monomial(m1 + m2)
+
+
+class ZetaExpr(Sparse):
     """Commutative polynomial in MZV symbols with exact rational coefficients.
 
     Monomials are multisets of symbols kept as sorted tuples; zero
     coefficients are pruned so equality is structural.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in items:
-            mono = tuple(sorted(mono, key=MZVSymbol.sort_key))
-            c = acc.get(mono, Fraction(0)) + Fraction(coeff)
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        self._terms = acc
+    _key = staticmethod(_monomial)
+    _mul_key = staticmethod(_monomial_product)
 
     @classmethod
     def scalar(cls, c) -> "ZetaExpr":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def one(cls) -> "ZetaExpr":
@@ -89,69 +88,15 @@ class ZetaExpr:
     def symbol(cls, sym: MZVSymbol | Composition) -> "ZetaExpr":
         if isinstance(sym, Composition):
             sym = MZVSymbol(sym)
-        return cls({(sym,): Fraction(1)})
+        return cls({(sym,): 1})
 
-    def monomials(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+    monomials = Sparse.items
 
     def sorted_monomials(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(
             self._terms.items(),
             key=lambda kv: (len(kv[0]), [s.sort_key() for s in kv[0]]),
         )
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZetaExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "ZetaExpr") -> "ZetaExpr":
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = acc.get(mono, Fraction(0)) + coeff
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
-        out = ZetaExpr.__new__(ZetaExpr)
-        out._terms = acc
-        return out
-
-    def __neg__(self) -> "ZetaExpr":
-        out = ZetaExpr.__new__(ZetaExpr)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "ZetaExpr") -> "ZetaExpr":
-        return self + (-other)
-
-    def __mul__(self, other) -> "ZetaExpr":
-        if isinstance(other, ZetaExpr):
-            acc: dict[Monomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono = tuple(sorted(m1 + m2, key=MZVSymbol.sort_key))
-                    c = acc.get(mono, Fraction(0)) + c1 * c2
-                    if c:
-                        acc[mono] = c
-                    else:
-                        acc.pop(mono, None)
-            out = ZetaExpr.__new__(ZetaExpr)
-            out._terms = acc
-            return out
-        scalar = Fraction(other)
-        if not scalar:
-            return ZetaExpr()
-        out = ZetaExpr.__new__(ZetaExpr)
-        out._terms = {m: c * scalar for m, c in self._terms.items()}
-        return out
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self._terms:
@@ -168,12 +113,6 @@ class ZetaExpr:
             else:
                 parts.append(f"{coeff}*{factors}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"ZetaExpr({self._terms!r})"
-
-
-RegPoly = TPoly  # T-polynomials with ZetaExpr coefficients
 
 
 def _t_times(p: TPoly) -> TPoly:
@@ -506,9 +445,8 @@ def reg_poly_str(p: TPoly) -> str:
         expr = p.coeff(deg)
         mono = "" if deg == 0 else ("T" if deg == 1 else f"T^{deg}")
         text = str(expr)
-        many_terms = len(list(expr.monomials())) > 1
         if mono:
-            if many_terms:
+            if len(expr) > 1:
                 text = f"({text})*{mono}"
             elif text == "1":
                 text = mono

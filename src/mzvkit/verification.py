@@ -311,10 +311,6 @@ def isomorphism_checks(max_degree: int = 6, injective_degree: int = 8,
     return out
 
 
-def _nonneg_pool(max_weight: int, max_depth: int = 3) -> list[comp.Composition]:
-    return comp.nonnegative_compositions(max_weight, max_depth)
-
-
 def polylog_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
                    tolerance: float = 1e-8) -> list[CheckResult]:
     """Shuffle homomorphism of polylogarithms and the derivative identity."""
@@ -322,7 +318,7 @@ def polylog_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
     ctx = ctx or PrecisionContext(digits=20, budget=100_000, tolerance=1e-10)
     z = math.exp(-0.7)
     out = []
-    pool = _nonneg_pool(max_weight)
+    pool = comp.nonnegative_compositions(max_weight, 3)
     worst = 0.0
     pairs = 0
     for s, t in combinations_with_replacement(pool, 2):

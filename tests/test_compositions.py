@@ -8,6 +8,8 @@ from mzvkit.compositions import (
     Composition,
     bistuffle,
     convergent_compositions,
+    entries_to_exponents,
+    exponents_to_entries,
     nonnegative_compositions,
     ones,
     positive_compositions,
@@ -16,11 +18,46 @@ from mzvkit.compositions import (
     stuffle,
 )
 from mzvkit.core import DomainError, LinComb, bilinear
+from mzvkit.free_rba import graded_basis, to_composition as tensor_to_composition
 from mzvkit.words import from_composition, shuffle as word_shuffle, to_composition
 
 
 def C(*entries):
     return Composition(tuple(entries))
+
+
+def leading_entry_shuffle(s, t):
+    """Reference oracle: the extended shuffle by recursion on the leading entries.
+
+    A leading zero of either factor pops out front; otherwise each factor in
+    turn lowers its first entry, and the first entry of every resulting term
+    is raised again.  It shares no code with the transported free
+    Rota-Baxter product that ``shuffle`` computes.
+    """
+    memo = {}
+
+    def rec(x, y):
+        if not x:
+            return {y: 1}
+        if not y:
+            return {x: 1}
+        if (x, y) in memo:
+            return memo[(x, y)]
+        out = {}
+        if x[0] == 0:
+            parts = [((0,), rec(x[1:], y))]
+        elif y[0] == 0:
+            parts = [((0,), rec(x, y[1:]))]
+        else:
+            parts = [(None, rec((x[0] - 1,) + x[1:], y)), (None, rec(x, (y[0] - 1,) + y[1:]))]
+        for head, terms in parts:
+            for tail, c in terms.items():
+                k = head + tail if head else (tail[0] + 1,) + tail[1:]
+                out[k] = out.get(k, 0) + c
+        memo[(x, y)] = out
+        return out
+
+    return LinComb((Composition(k), c) for k, c in rec(s.entries, t.entries).items())
 
 
 class TestCompositionType:
@@ -113,6 +150,13 @@ class TestExtendedShuffle:
                     for t in positive_compositions(total - split):
                         assert shuffle(s, t) == rec_rhs(s, t), (s, t)
 
+    def test_matches_leading_entry_recursion_with_zero_entries(self):
+        pool = nonnegative_compositions(5, 3)
+        assert len(pool) ** 2 == 6889
+        for s in pool:
+            for t in pool:
+                assert shuffle(s, t) == leading_entry_shuffle(s, t), (s, t)
+
     def test_generator_identity(self):
         # every composition arises from [0] through the product and the shift:
         # (s1,...,sk) = I^s1([0] sh I^s2([0] sh ... I^sk([0])...))
@@ -132,6 +176,24 @@ class TestExtendedShuffle:
         for length in range(1, 4):
             for entries in itertools.product(range(0, 4), repeat=length):
                 assert build(entries) == LinComb.single(Composition(entries)), entries
+
+
+class TestExponentMap:
+    def test_inverts_tensor_to_composition(self):
+        for m in range(1, 9):
+            for t in graded_basis(m):
+                entries = tensor_to_composition(t).entries
+                assert entries_to_exponents(entries) == t.exponents, t
+                assert exponents_to_entries(t.exponents) == entries, t
+
+    def test_round_trip_on_compositions(self):
+        for s in nonnegative_compositions(5, 4):
+            assert exponents_to_entries(entries_to_exponents(s.entries)) == s.entries, s
+
+    def test_examples(self):
+        assert entries_to_exponents((0,)) == (1,)
+        assert entries_to_exponents((1,)) == (0, 1)
+        assert entries_to_exponents((0, 2, 0, 1)) == (1, 0, 2, 1)
 
 
 class TestRaiseFirst:

@@ -189,6 +189,12 @@ class TestMixableShuffle:
 
 
 class TestTPoly:
+    def test_negative_degrees_rejected(self):
+        with pytest.raises(DomainError, match="non-negative degrees"):
+            TPoly({-1: 1})
+        with pytest.raises(DomainError, match="non-negative degrees"):
+            TPoly.t_power(-1, 1)
+
     def test_construction_prunes_zeros(self):
         p = TPoly({0: Fraction(0), 2: Fraction(3)})
         assert p.coeff(0) == 0

@@ -240,6 +240,11 @@ class TestKernelSeries:
 
 
 class TestPolePart:
+    def test_negative_exponents_allowed(self):
+        f = LaurentPoly({-1: 1})
+        assert f.coeff(-1) == 1 and len(f) == 1
+        assert pole_part(f) == f
+
     def test_examples(self):
         f = LaurentPoly({-2: Fraction(1), 0: Fraction(3), 1: Fraction(1)})
         assert pole_part(f) == LaurentPoly({-2: Fraction(1)})
