@@ -8,6 +8,7 @@ codes: 0 success, 1 domain error, 2 syntax error, 3 precision failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -210,6 +211,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzvkit",

@@ -141,10 +141,10 @@ def entries_to_exponents(entries: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=8192)
-def _shuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[tuple[int, ...]]:
+def _shuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
     x, y = entries_to_exponents(s), entries_to_exponents(t)
     head = (x[0] + y[0],)
-    return mixable_shuffle(x[1:], y[1:]).map_basis(lambda tail: exponents_to_entries(head + tail))
+    return mixable_shuffle(x[1:], y[1:]).map_basis(lambda e: Composition(exponents_to_entries(head + e)))
 
 
 def shuffle(s: Composition, t: Composition) -> LinComb[Composition]:
@@ -156,7 +156,7 @@ def shuffle(s: Composition, t: Composition) -> LinComb[Composition]:
     compositions this is exactly the word shuffle transported through the
     word/composition bijection.
     """
-    return _shuffle_entries(s.entries, t.entries).map_basis(Composition)
+    return _shuffle_entries(s.entries, t.entries)
 
 
 def shuffle_lin(a: LinComb[Composition], b: LinComb[Composition]) -> LinComb[Composition]:
@@ -168,15 +168,15 @@ def _add_entries(x: int, y: int) -> int:
 
 
 @lru_cache(maxsize=8192)
-def _stuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[tuple[int, ...]]:
-    return mixable_shuffle(s, t, weight=1, merge=_add_entries)
+def _stuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
+    return mixable_shuffle(s, t, weight=1, merge=_add_entries).map_basis(Composition)
 
 
 def stuffle(s: Composition, t: Composition) -> LinComb[Composition]:
     """Quasi-shuffle product on positive compositions (merged entries add)."""
     if not (s.is_positive and t.is_positive):
         raise DomainError(f"stuffle is defined on positive compositions: {s}, {t}")
-    return _stuffle_entries(s.entries, t.entries).map_basis(Composition)
+    return _stuffle_entries(s.entries, t.entries)
 
 
 def stuffle_lin(a: LinComb[Composition], b: LinComb[Composition]) -> LinComb[Composition]:

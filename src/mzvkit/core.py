@@ -2,15 +2,15 @@
 
 One sparse-sum base, :class:`Sparse`, owns the pruned ``{key: coefficient}``
 dict and its arithmetic for all four coefficient types of the package:
-linear combinations over an arbitrary hashable basis with ``Fraction``
+linear combinations over an arbitrary hashable basis with exact
 coefficients (:class:`LinComb`), polynomials in the formal symbol T over a
 caller-chosen coefficient ring (:class:`TPoly`), and, in their own modules,
 polynomials in MZV symbols and Laurent polynomials in eps.  Next to them
 sit the generic mixable shuffle recursion that the word shuffle, the
 composition shuffle and both quasi-shuffle products instantiate, and the
-certified exact matrix rank.
-
-Values are immutable after construction and safe to share between threads.
+certified exact matrix rank.  Coefficients are ``int`` unless a non-integer
+scalar enters (:func:`_exact`).  Values are immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ R = TypeVar("R")
 
 Scalar = Fraction | int
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class DomainError(ValueError):
     """An operation was applied outside its declared domain."""
@@ -37,13 +34,18 @@ class MergeUndefinedError(DomainError):
     """A weighted shuffle tried to merge a pair of atoms it cannot combine."""
 
 
+def _exact(c) -> Scalar:
+    """c itself if an ``int`` or ``Fraction``, else ``Fraction(c)`` (so ``True`` becomes 1)."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 class Sparse:
     """Finite formal sum ``{key: coefficient}`` with zero coefficients pruned.
 
     The one sparse-dict type behind :class:`LinComb`, :class:`TPoly`,
     :class:`~mzvkit.regularization.ZetaExpr` and
     :class:`~mzvkit.numerics.LaurentPoly`.  A subclass fixes three constants:
-    ``_coerce`` converts coefficients (``Fraction`` unless overridden),
+    ``_coerce`` converts coefficients (:func:`_exact` unless overridden),
     ``_key`` validates or normalises a key on construction (none by default),
     and ``_mul_key`` combines the keys of two terms in a product (none: the
     type has no product of its own).  Equality is term-set equality between
@@ -52,7 +54,7 @@ class Sparse:
 
     __slots__ = ("_terms",)
 
-    _coerce: Callable = Fraction
+    _coerce: Callable = staticmethod(_exact)
     _key: Callable | None = None
     _mul_key: Callable | None = None
 
@@ -165,7 +167,7 @@ class Sparse:
 
 
 class LinComb(Sparse, Generic[B]):
-    """Finite formal sum of basis elements with nonzero rational coefficients.
+    """Finite formal sum of basis elements with nonzero exact coefficients.
 
     Zero coefficients are pruned on construction, so equality is term-set
     equality. Instances never mutate; all arithmetic returns fresh objects.
@@ -182,11 +184,11 @@ class LinComb(Sparse, Generic[B]):
 
     def combine(self, other: "LinComb[B]", scalar: Scalar) -> "LinComb[B]":
         """Return ``self + scalar * other`` with zero terms pruned."""
-        s = Fraction(scalar)
+        s = _exact(scalar)
         acc = dict(self._terms)
         if s:
             for basis, coeff in other._terms.items():
-                c = acc.get(basis, _ZERO) + coeff * s
+                c = acc.get(basis, 0) + coeff * s
                 if c:
                     acc[basis] = c
                 else:
@@ -202,17 +204,17 @@ class LinComb(Sparse, Generic[B]):
         acc: dict = {}
         for basis, coeff in self._terms.items():
             for b2, c2 in f(basis)._terms.items():
-                c = acc.get(b2, _ZERO) + coeff * c2
+                c = acc.get(b2, 0) + coeff * c2
                 if c:
                     acc[b2] = c
                 else:
                     acc.pop(b2, None)
         return LinComb._new(acc)
 
-    def coefficient_sum(self) -> Fraction:
-        return sum(self._terms.values(), _ZERO)
+    def coefficient_sum(self) -> Scalar:
+        return sum(self._terms.values())
 
-    def sorted_items(self) -> list[tuple[B, Fraction]]:
+    def sorted_items(self) -> list[tuple[B, Scalar]]:
         try:
             return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
         except TypeError:
@@ -254,12 +256,12 @@ def bilinear(
     b: LinComb[B],
 ) -> LinComb[B]:
     """Extend a basis-pair product bilinearly to linear combinations."""
-    acc: dict[B, Fraction] = {}
+    acc: dict[B, Scalar] = {}
     for u, cu in a.items():
         for v, cv in b.items():
             scale = cu * cv
             for w, cw in product_on_basis(u, v).items():
-                c = acc.get(w, _ZERO) + scale * cw
+                c = acc.get(w, 0) + scale * cw
                 if c:
                     acc[w] = c
                 else:
@@ -283,26 +285,26 @@ def mixable_shuffle(
     product at all.  A partial ``merge`` signals unsupported pairs by
     raising :class:`MergeUndefinedError`.
     """
-    lam = Fraction(weight)
-    memo: dict[tuple[tuple, tuple], dict[tuple, Fraction]] = {}
+    lam = _exact(weight)
+    memo: dict[tuple[tuple, tuple], dict[tuple, Scalar]] = {}
 
-    def rec(x: tuple, y: tuple) -> dict[tuple, Fraction]:
+    def rec(x: tuple, y: tuple) -> dict[tuple, Scalar]:
         if not x:
-            return {y: _ONE}
+            return {y: 1}
         if not y:
-            return {x: _ONE}
+            return {x: 1}
         key = (x, y)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, Scalar] = {}
         head_x, head_y = (x[0],), (y[0],)
         for tail, c in rec(x[1:], y).items():
             t = head_x + tail
-            out[t] = out.get(t, _ZERO) + c
+            out[t] = out.get(t, 0) + c
         for tail, c in rec(x, y[1:]).items():
             t = head_y + tail
-            out[t] = out.get(t, _ZERO) + c
+            out[t] = out.get(t, 0) + c
         if lam:
             if merge is None:
                 raise MergeUndefinedError(
@@ -313,7 +315,7 @@ def mixable_shuffle(
                 t = merged + tail
                 c = c * lam
                 if c:
-                    out[t] = out.get(t, _ZERO) + c
+                    out[t] = out.get(t, 0) + c
         out = {t: c for t, c in out.items() if c}
         memo[key] = out
         return out
@@ -408,9 +410,7 @@ def matrix_rank(rows: Iterable[Iterable]) -> int:
 
 def _integer_row(row: list) -> dict[int, int]:
     """The row as sparse ``{column: int}``, scaled by the lcm of its denominators."""
-    entries = {
-        j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in enumerate(row) if x
-    }
+    entries = {j: _exact(x) for j, x in enumerate(row) if x}
     den = lcm(*(x.denominator for x in entries.values()))
     return {j: x.numerator * (den // x.denominator) for j, x in entries.items() if x}
 

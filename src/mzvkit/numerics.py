@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import mpmath
-import numpy as np
 
 from .compositions import BiComposition, Composition
 from .core import DomainError, Sparse, TPoly
@@ -87,18 +86,11 @@ def _mp(digits: int) -> mpmath.ctx_mp.MPContext:
 # exact layer: Bernoulli numbers, zeta at non-positive integers, Laurent series
 
 
-@lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number with the B(1) = +1/2 convention, as an exact rational."""
     if n < 0:
         raise DomainError("Bernoulli numbers need n >= 0")
-    if n == 0:
-        return Fraction(1)
-    # minus-convention recursion, then flip the sign of the odd entry
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n + 1, j) * _bernoulli_minus(j)
-    value = -total / (n + 1)
+    value = _bernoulli_minus(n)
     return -value if n == 1 else value
 
 
@@ -231,7 +223,7 @@ def _zeta_em(mp, s: int, cutoff: int, corrections: int):
     return total
 
 
-_B_EVEN_FLOAT = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)
+_B_EVEN_FLOAT = tuple(float(bernoulli(2 * k)) for k in range(1, 6))
 
 
 def _zeta_tail_float(s: int, cutoff: int) -> tuple[float, float]:
@@ -261,6 +253,7 @@ class _Level(NamedTuple):
 
 
 def _exp_weights(rho: float, s: int) -> Callable[[np.ndarray], np.ndarray]:
+    import numpy as np  # only nested sums need numpy; the exact layers run without it
     if rho == 1.0:
         return lambda n: n ** float(-s)
     log_rho = math.log(rho)
@@ -268,6 +261,7 @@ def _exp_weights(rho: float, s: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _signed_power_weights(z: float, s: int) -> Callable[[np.ndarray], np.ndarray]:
+    import numpy as np
     def build(n: np.ndarray) -> np.ndarray:
         powers = np.cumprod(np.full(n.shape, z))
         return powers * n ** float(-s)
@@ -289,6 +283,7 @@ def _check_convergence(levels: list[_Level]) -> None:
 
 def _chunked_geo_bound(rho: float, p: float, lam: int, start: int, budget: int) -> float:
     """Upper bound on sum_{m > start} rho^m m^p (1+ln m)^lam for rho < 1."""
+    import numpy as np
     if rho == 0.0:
         return 0.0
     total = 0.0
@@ -308,6 +303,7 @@ def _chunked_geo_bound(rho: float, p: float, lam: int, start: int, budget: int) 
 
 def _pseries_bound(sigma: float, lam: int) -> float:
     """Upper bound on sum_{m >= 1} m^-sigma (1+ln m)^lam for sigma >= 2."""
+    import numpy as np
     m = np.arange(1, 8193, dtype=float)
     head = float(np.sum(m**-sigma * (1.0 + np.log(m)) ** lam))
     cutoff = 8192.0
@@ -343,6 +339,7 @@ def _log_moment(j: int, sigma: float, cutoff: int) -> float:
 
 def _attempt(levels: list[_Level], cutoff: int, budget: int) -> tuple[float, float]:
     """Evaluate the nested sum at one cutoff; returns (value, certified bound)."""
+    import numpy as np
     n = np.arange(1, cutoff + 1, dtype=float)
     weights = [lv.build(n) for lv in levels]
     cum = None

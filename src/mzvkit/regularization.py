@@ -6,7 +6,8 @@ in T with coefficients in the ring of formal convergent-MZV symbols: T is
 the adjoined divergent depth-one value, and the reduction peels leading
 1-entries through the product with [1] (shuffle product for one map,
 stuffle for the other).  No relations among symbols are applied
-symbolically; identity checks happen numerically downstream.
+symbolically; identity checks happen numerically downstream.  Coefficients
+are ``int`` unless the peeling divides them by a leading-ones count.
 
 Relation generators emit the double shuffle and extended double shuffle
 sets in a deterministic order, and an exact rank routine turns them into
@@ -204,9 +205,8 @@ def _ones_decomp(ell: int, tail: tuple[int, ...]) -> tuple[tuple[int, int, tuple
         rest = term.entries[i:]
         if not (rest and rest[0] >= 2):
             raise AssertionError(f"unexpected non-convergent remainder {term}")
-        c = int(coeff)
         for sub_c, sub_i, sub_tail in _ones_decomp(i, rest):
-            out.append((-c * sub_c, sub_i, sub_tail))
+            out.append((-coeff * sub_c, sub_i, sub_tail))
     return tuple(out)
 
 

@@ -119,7 +119,7 @@ def graded_freeness_checks(max_degree: int = 8) -> list[CheckResult]:
         for tensor in basis:
             row = [0] * len(word_basis)
             for w, c in frba.to_word_sum(tensor).items():
-                row[index[w]] = int(c)
+                row[index[w]] = c
             rows.append(row)
         rank = matrix_rank(rows)
         out.append(

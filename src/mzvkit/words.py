@@ -3,7 +3,8 @@
 Words ending in x1 span the nonunitary algebra that encodes MZV indices;
 words that moreover start with x0 are the convergent (admissible) ones.
 The empty word exists only as the internal shuffle unit and is rejected by
-every operation that is defined on the nonunitary algebra.
+every operation that is defined on the nonunitary algebra.  Coefficients
+are ``int`` unless a non-integer scalar enters.
 """
 
 from __future__ import annotations

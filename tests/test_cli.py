@@ -37,6 +37,16 @@ class TestEval:
         _, second, _ = run(capsys, "eval", "sh([1,1],[2,1])")
         assert first == second
 
+    @pytest.mark.parametrize("first", [["eval", "sh([1],[2])"], ["zeta", "3"]])
+    def test_no_flag_carries_over_between_calls(self, capsys, first):
+        # the parser is built once per process; each call must still start from its defaults
+        _, before, _ = run(capsys, *first)
+        run(capsys, "eval", "sh([1],[2])", "--format", "json")
+        run(capsys, "rank", "--weight", "4", "--format", "json")
+        run(capsys, "zeta", "3", "--digits", "30")
+        _, after, _ = run(capsys, *first)
+        assert after == before
+
 
 class TestExitCodes:
     def test_syntax_error_is_2(self, capsys):

@@ -92,6 +92,11 @@ class TestExtendedShuffle:
     def test_mixed(self):
         assert shuffle(C(1), C(2)) == LinComb({C(1, 2): 1, C(2, 1): 2})
 
+    def test_products_return_the_cached_value(self):
+        s, t = C(2, 1, 3), C(1, 2, 1)
+        assert shuffle(s, t) is shuffle(s, t)
+        assert stuffle(s, t) is stuffle(s, t)
+
     def test_double_zero_heads_unambiguous(self):
         got = shuffle(C(0, 1), C(0, 2))
         assert got == shuffle(C(0, 2), C(0, 1))

@@ -99,6 +99,51 @@ class TestLinComb:
         assert str(c) == "-(1,) + 2*(0, 1)"
 
 
+def all_int(combo):
+    return all(type(c) is int for _, c in combo.items())
+
+
+class TestExactCoefficients:
+    """Products keep ``int`` coefficients; only a non-integer scalar makes a ``Fraction``."""
+
+    def test_products_are_int(self):
+        from mzvkit import compositions as comp, free_rba, words
+
+        C = comp.Composition
+        assert all_int(mixable_shuffle((1, 2, 1), (2, 1), 0))
+        assert all_int(mixable_shuffle((1, 2, 1), (2, 1), 1, add))
+        prod = lambda u, v: mixable_shuffle(u, v, 1, add)
+        assert all_int(bilinear(prod, LinComb({(1,): 2, (2, 1): -3}), LinComb({(1, 1): 1})))
+        assert all_int(comp.shuffle(C((0, 2, 1)), C((1, 0, 3))))
+        assert all_int(comp.stuffle(C((2, 1, 1)), C((1, 3))))
+        u = comp.BiComposition.make((2, 1), (1, Fraction(1, 2)))
+        assert all_int(comp.bistuffle(u, comp.BiComposition.make((1,), (0,))))
+        assert all_int(words.shuffle(words.Word((0, 1, 1)), words.Word((1, 0, 1))))
+        assert all_int(free_rba.product(free_rba.TensorWord((1, 0, 2)), free_rba.TensorWord((2, 1))))
+
+    def test_relation_rank_rows_are_int(self, monkeypatch):
+        from mzvkit import regularization as reg
+
+        seen = []
+
+        def spy(rows):
+            seen.extend(rows)
+            return matrix_rank(rows)
+
+        monkeypatch.setattr(reg, "matrix_rank", spy)
+        assert reg.relation_rank(6) == (14, 2)
+        assert seen and all(type(x) is int for row in seen for x in row)
+
+    def test_only_non_integer_scalars_promote(self):
+        x = LinComb({"a": 1})
+        assert all_int(x.scale(3)) and all_int(combine(x, x, -2))
+        for half in (x.scale(Fraction(1, 2)).coeff("a"), combine(LinComb(), x, 0.5).coeff("a")):
+            assert type(half) is Fraction and half == Fraction(1, 2)
+        assert type(mixable_shuffle((1,), (2,), Fraction(1, 2), add).coeff((3,))) is Fraction
+        assert str(LinComb({"b": True})) == "b"
+        assert LinComb({"b": True}).coeff("b") == 1
+
+
 class TestBilinear:
     def test_single_terms(self):
         prod = lambda u, v: LinComb({u + v: 1})
@@ -295,8 +340,9 @@ class TestMatrixRank:
         assert ranks == [1, 1, 1]
 
     def test_package_import_leaves_numpy_out(self):
-        code = "import sys, mzvkit; sys.exit('numpy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+        for module in ("mzvkit", "mzvkit.cli"):  # the cli imports every module
+            code = f"import sys, {module}; sys.exit('numpy' in sys.modules)"
+            assert subprocess.run([sys.executable, "-c", code]).returncode == 0, module
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DomainError, match="row 0 has 1 entries, row 1 has 2"):
