@@ -1,10 +1,19 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from mzvkit.compositions import BiComposition, Composition, ones
+from mzvkit.compositions import (
+    BiComposition,
+    Composition,
+    convergent_compositions,
+    ones,
+    shuffle,
+    stuffle,
+)
 from mzvkit.core import DomainError, TPoly
 from mzvkit.numerics import (
     DivergenceError,
@@ -58,6 +67,12 @@ class TestZetaPos:
     def test_guard(self):
         with pytest.raises(DomainError):
             zeta_pos(1, CTX)
+
+    def test_hundred_digits(self):
+        ctx = PrecisionContext(digits=100, budget=200_000, tolerance=1e-15)
+        with mpmath.workdps(130):
+            for n in range(2, 13):
+                assert abs(zeta_pos(n, ctx) - mpmath.zeta(n)) < mpmath.mpf(10) ** -100, n
 
     def test_more_digits(self):
         wide = PrecisionContext(digits=40, budget=200_000, tolerance=1e-3)
@@ -149,9 +164,46 @@ class TestMzv:
             mzv_eval(C(1, 2), CTX)
 
     def test_unreachable_tolerance(self):
-        cramped = PrecisionContext(digits=20, budget=1_000, tolerance=1e-9)
+        cramped = PrecisionContext(digits=20, budget=1_000, tolerance=1e-16)
         with pytest.raises(PrecisionError):
             mzv_eval(C(2, 1, 1), cramped)
+
+    def test_budget_does_not_limit(self):
+        cramped = PrecisionContext(digits=20, budget=1_000, tolerance=1e-9)
+        value, error = mzv_eval(C(2, 1, 1), cramped)
+        assert abs(mpmath.mpf(value) - zeta_pos(4, CTX)) <= error
+
+    def test_closed_forms_within_error(self):
+        with mpmath.workdps(40):
+            cases = {(2, 1): mpmath.zeta(3), (3, 1): mpmath.pi**4 / 360}
+            cases |= {(2,) * n: mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1) for n in range(1, 5)}
+            for entries, truth in cases.items():
+                value, error = mzv_eval(C(*entries), TIGHT)
+                assert error <= 1e-12, entries
+                assert abs(mpmath.mpf(value) - truth) <= error, entries
+
+    def test_double_shuffle_to_joint_weight_8(self):
+        indices = [s for w in range(2, 7) for s in convergent_compositions(w)]
+        pairs = [(s, t) for s in indices for t in indices if s.weight + t.weight <= 8]
+        assert len(pairs) == 129
+        for s, t in pairs:
+            (vs, es), (vt, et) = mzv_eval(s, TIGHT), mzv_eval(t, TIGHT)
+            product_error = vs * et + vt * es + es * et
+            for product in (shuffle, stuffle):
+                terms = [(float(c), mzv_eval(u, TIGHT)) for u, c in product(s, t).items()]
+                total = math.fsum(c * value for c, (value, _) in terms)
+                bound = product_error + math.fsum(abs(c) * error for c, (_, error) in terms)
+                assert abs(total - vs * vt) <= bound, (s, t, product.__name__)
+
+    def test_leaves_numpy_out(self):
+        code = (
+            "import sys\n"
+            "from mzvkit.compositions import Composition\n"
+            "from mzvkit.numerics import mzv_eval\n"
+            "mzv_eval(Composition((3, 1, 2)))\n"
+            "sys.exit('numpy' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestDirectional:

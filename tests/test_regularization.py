@@ -34,6 +34,7 @@ from mzvkit.regularization import (
     shuffle_regularize,
     stuffle_regularize,
 )
+from mzvkit.verification import regularization_checks
 
 CTX = PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)
 
@@ -310,6 +311,13 @@ class TestCorollary:
 
     def test_order_4(self):
         assert corollary_check(4, CTX) < 1e-3
+
+
+class TestExchangeDiagram:
+    def test_weight_6_at_1e_10(self):
+        ctx = PrecisionContext(digits=20, budget=200_000, tolerance=1e-10)
+        results = regularization_checks(ctx=ctx, max_weight=6, exact_tol=1e-10, mzv_tol=1e-10)
+        assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
 
 
 class TestExports:
