@@ -1,20 +1,11 @@
 """High-precision numeric layer: zeta values, polylogarithms, nested MZV sums.
 
-Design notes.  Single zeta values and the coefficient tables built from them
-use mpmath at the context's working precision (Euler-Maclaurin tail
-correction of the direct sum, with as many corrections as the digits need
-before the cutoff grows).  Convergent MZVs come from the Hölder convolution
-at 1/2: a sum of products of polylogarithms at 1/2 whose series converge
-like 2^-n, run in pure-Python float64 at a fixed length, with a certified
-truncation and rounding bound that depends on the index alone.  The other
-nested multi-index sums (polylogarithms, directional regularized MZVs) run
-in float64 numpy with certified truncation bounds: the outermost level gets
-either a geometric-ratio tail bound or a p-series (integral comparison)
-bound with a first-order tail correction, and the inner levels are capped
-bottom-up, each cap folding the levels below it into a constant, a log
-power or a polynomial growth exponent.  Certified bounds always dominate
-float64 rounding at the budgets this package accepts, and a rounding
-allowance is folded into every reported error.
+Design notes.  One series engine, ``_sweep``, runs the power-series
+recurrence of an iterated integral letter by letter in integer fixed point,
+so its error is a count of units.  ``zeta_pos`` and ``mzv_eval`` split the
+word at 1/2 (``_holder``), ``li_eval`` and damped ``z_directional`` sum the
+direct series (``_direct_series``).  Only directional sums with an undamped
+first level and a damped later one run a float64 numpy p-series kernel.
 
 Exact material (Bernoulli numbers, the Laurent expansion of e^eps/(1-e^eps),
 the pole projector) is kept in Fraction arithmetic so identity checks can
@@ -29,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import mpmath
 
@@ -182,54 +173,130 @@ def geometric_kernel_check(order: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# zeta at integers >= 2 (Euler-Maclaurin)
+# the series engine: one integer fixed-point recurrence per letter
+
+X0, UP = "x0", "up"  # the letters of _sweep besides x1, which is written as its weight
 
 
-def zeta_pos(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpmath.mpf:
-    """zeta(n) for integer n >= 2 by Euler-Maclaurin correction of the direct sum."""
-    if n < 2:
-        raise DomainError("zeta_pos needs n >= 2")
-    return _zeta_pos_cached(n, ctx.digits, ctx.budget, float(ctx.tolerance))
+def _sweep(letters: list, terms: int, scale: int) -> list[int]:
+    """Values of the series of every suffix letters[j:], in units of 2^-scale.
+
+    The empty word has c = (1, 0, 0, ...); prepending a letter maps c_m to
+    c_m / m (x0), (1/m) sum_{j<m} x^(m-j) c_j (x1 of float weight |x| <= 1)
+    or m c_m (UP); a value is sum_{m>=1} c_m, and c_m reads no higher index.
+    Levels (s_i, x_i), each x0^(s-1) x1 or UP^(1-s) x1, give the sum over
+    n_1 > ... > n_k >= 1 of prod_i x_i^(n_i - n_(i+1)) n_i^(-s_i), n_(k+1) = 0.
+
+    Rounding: x1 keeps r_m = floor(x (r_(m-1) + c_(m-1))) and stores
+    floor(r_m / m), x0 floor(c_m / m), UP is exact.  Errors of at most e m^t
+    units per c_m become (e+1) m^t after x0, e m^(t+1) after UP and
+    (e+2) m^t after x1, as r_m errs by at most sum_{j<m} e j^t + m.  After
+    L letters, u of them UP, each value is within 2L terms^(u+1) units.
+    """
+    c = [1 << scale] + [0] * terms
+    values = [c[0]]
+    for letter in reversed(letters):
+        if letter == X0:
+            c = [0] + [a // m for m, a in enumerate(c[1:], 1)]
+        elif letter == UP:
+            c = [m * a for m, a in enumerate(c)]
+        else:
+            num, den = letter.as_integer_ratio()
+            shift, r = den.bit_length() - 1, 0  # floats are dyadic
+            if num == 1:  # a power of two, as in the Hölder factors: no product
+                c = [0] + [(r := (r + a) >> shift) // m for m, a in enumerate(c[:-1], 1)]
+            else:
+                c = [0] + [(r := (r + a) * num >> shift) // m for m, a in enumerate(c[:-1], 1)]
+        values.append(sum(c))
+    return values[::-1]
 
 
-@lru_cache(maxsize=None)
-def _zeta_pos_cached(n: int, digits: int, budget: int, tolerance: float) -> mpmath.mpf:
-    mp = _mp(digits)
-    target = min(mpmath.mpf(tolerance), mp.mpf(10) ** (-digits - 2))
-    cutoff = min(max(32, 3 * digits), budget)
-    while True:
-        corrections = [_em_term(mp, n, cutoff, 1)]
-        for k in range(2, 17 + digits // 2):
-            remainder = _em_term(mp, n, cutoff, k)
-            if abs(remainder) < target:
-                return _zeta_em(mp, n, cutoff, corrections)
-            corrections.append(remainder)
-        if cutoff >= budget:
-            raise PrecisionError(
-                f"zeta({n}) not reachable at tolerance {tolerance} within budget {budget}"
-            )
-        cutoff = min(cutoff * 4, budget)
+def _holder(entries: tuple[int, ...], bits: int, budget: float = math.inf) -> tuple[int, int]:
+    """(V, B) with |V 2^-B - zeta(entries)| < 2^-bits: the Hölder convolution at 1/2.
+
+    Splitting the iterated integral of the word w = w_1...w_n of s by the
+    number j of variables above 1/2 (Borwein-Bradley-Broadhurst-Lisonek,
+    arXiv:math/9910045) gives zeta(w) = sum_{j=0..n} Li_{(w_1...w_j)^dagger}(1/2)
+    Li_{w_(j+1)...w_n}(1/2), dagger swapping x0, x1 and reversing the letters.
+    ``_sweep`` at weight 1/2 over w and over its dual gives every factor.
+
+    Bound, in units of 2^-B, with N = bits + t terms and 2^t > 4(n+1).  A
+    non-empty factor has coefficients in [0, 2^-m]: it is at most 1, its
+    tail past N at most 2^(B-N) units, and the sweep adds 2nN, so it is within
+    d = 2nN + 2^(B-N) units (the empty one is exact).  A product of factors
+    f, g <= 1 is then within d(g + 1) + d^2 2^-B <= 2d + 1 units, as
+    d < 2^guard and guard <= bits, and the final shift floors once:
+    (n+1)(4nN + 1) + 1 + (n+1) 2^(B-N+1) units, each part below 2^(guard-1).
+    More than ``budget`` terms raise ``PrecisionError``.
+    """
+    word = [letter for e in entries for letter in [X0] * (e - 1) + [0.5]]
+    dual = [0.5 if letter == X0 else X0 for letter in reversed(word)]
+    n = len(word)
+    terms = bits + (4 * (n + 1)).bit_length()
+    scale = bits + ((n + 1) * (4 * n * terms + 1) + 1).bit_length() + 1
+    if terms > budget:
+        raise PrecisionError(f"zeta{entries} needs {terms} terms, over budget {budget}")
+    products = map(operator.mul, _sweep(word, terms, scale), reversed(_sweep(dual, terms, scale)))
+    return sum(products) >> scale, scale
 
 
-def _em_term(mp, s: int, cutoff: int, k: int):
-    """k-th Euler-Maclaurin correction term; the first omitted one bounds the error."""
-    b = bernoulli(2 * k)
-    num = mp.mpf(b.numerator) / b.denominator
-    rising = mp.mpf(1)
-    for j in range(2 * k - 1):
-        rising *= s + j
-    return num / mp.factorial(2 * k) * rising * mp.mpf(cutoff) ** (-s - 2 * k + 1)
+def _tail(rate: float, power: int, n: int) -> float:
+    """Bound on sum_{m>n} rate^m m^power: past n each term ratio is at most
+    q = rate (1 + 1/(n+1))^max(power, 0); for q < 1 it is the next term over 1 - q."""
+    if rate == 0.0:
+        return 0.0
+    q = rate * (1 + 1 / (n + 1)) ** max(power, 0)
+    head = math.exp((n + 1) * math.log(rate) + power * math.log(n + 1))
+    return head / (1 - q) if q < 1 else math.inf
 
 
-def _zeta_em(mp, s: int, cutoff: int, corrections: list):
-    total = mp.mpf(0)
-    for j in range(1, cutoff + 1):
-        total += mp.mpf(j) ** (-s)
-    total += mp.mpf(cutoff) ** (1 - s) / (s - 1)
-    total -= mp.mpf(cutoff) ** (-s) / 2
-    for term in corrections:
-        total += term
-    return total
+def _series_length(rate: float, power: int, target: float, budget: int) -> int:
+    """The least n <= budget with _tail(rate, power, n) <= target, else budget;
+    the bound is infinite until q < 1 and falls with n from there on."""
+    low, high = 0, budget
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if _tail(rate, power, mid) <= target else (mid, high)
+    return high
+
+
+def _direct_series(entries: tuple[int, ...], weights: list[float], drift: float,
+                   ctx: PrecisionContext) -> float:
+    """The level sum of ``_sweep`` for entries s_i and float weights x_i.
+
+    Here r = max |x_i| < 1.  At most m^(k-1) tuples have n_1 = m, with
+    n_i^(-s_i) at most m^max(0, -s_i) for i > 1: their terms a_m sum to at
+    most r^m m^p, p = k - 1 - s_1 + sum_{i>1} max(0, -s_i).  N terms leave
+    a tail of at most min(tol, 2^-56)/2 where ``budget`` allows.  A leading
+    UP makes L letters, u of them UP: the value is within U = 2L N^u units
+    and sum_{m<=N} m a_m within N U (``_sweep``); the scale keeps U below a
+    quarter of the target.  With drift > 0 the weights are positive and each
+    within e^(+-drift) of the weight meant, which moves a_m by at most
+    (e^(m drift) - 1) a_m <= m drift e^(m drift) a_m: by drift e^(N drift)
+    sum_{m<=N} m a_m up to N, and by drift _tail(r e^drift, p + 1, N) past
+    it, doubled for float evaluation.  A total over ``ctx.tolerance`` raises
+    ``PrecisionError``.
+    """
+    power = len(entries) - 1 - entries[0] + sum(max(0, -s) for s in entries[1:])
+    rate = max(map(abs, weights))
+    target = min(ctx.tolerance, 2.0**-56)  # the float64 floor, about 1.4e-17
+    terms = _series_length(rate, power, target / 2, ctx.budget)
+    levels = [a for s, x in zip(entries, weights) for a in [X0] * (s - 1) + [UP] * (1 - s) + [x]]
+    letters = [UP] + levels
+    units = 2 * len(letters) * terms ** letters.count(UP)
+    scale = math.ceil(-math.log2(target)) + 2 + units.bit_length()
+    moments, value = _sweep(letters, terms, scale)[:2]
+    moved = drift and (math.exp(terms * drift) * (moments + units * terms) / 2**scale
+                       + _tail(rate * math.exp(drift), power + 1, terms))
+    bound = _tail(rate, power, terms) + units / 2**scale + 2 * drift * moved
+    if not bound <= ctx.tolerance:
+        raise PrecisionError(f"series bound {bound:.3g} over tolerance {ctx.tolerance}")
+    return value / (1 << scale)
+
+
+# ---------------------------------------------------------------------------
+# nested sums with an undamped first level and a damped later one: p-series
+# tails certified per level in float64 numpy
 
 
 _B_EVEN_FLOAT = tuple(float(bernoulli(2 * k)) for k in range(1, 6))
@@ -239,7 +306,6 @@ def _zeta_tail_float(s: int, cutoff: int) -> tuple[float, float]:
     """(sum over n > cutoff of n^-s, remainder bound), in float64."""
     total = cutoff ** (1.0 - s) / (s - 1) - 0.5 * cutoff ** (-1.0 * s)
     rising = 1.0
-    term = 0.0
     for k in range(1, 5):
         rising *= s + 2 * k - 2
         if k > 1:
@@ -251,43 +317,17 @@ def _zeta_tail_float(s: int, cutoff: int) -> tuple[float, float]:
     return total, remainder
 
 
-# ---------------------------------------------------------------------------
-# nested sums: shared kernel with per-level tail certification
-
-
 class _Level(NamedTuple):
-    rho: float  # |weight(n)| <= rho^n * n^(-s), 0 <= rho <= 1
+    rho: float  # weight(n) = rho^n * n^(-s), 0 <= rho <= 1
     s: int
-    build: Callable[[np.ndarray], np.ndarray]  # signed weights on an index array
 
 
-def _exp_weights(rho: float, s: int) -> Callable[[np.ndarray], np.ndarray]:
-    import numpy as np  # only nested sums need numpy; the exact layers run without it
-    if rho == 1.0:
-        return lambda n: n ** float(-s)
-    log_rho = math.log(rho)
-    return lambda n: np.exp(n * log_rho) * n ** float(-s)
-
-
-def _signed_power_weights(z: float, s: int) -> Callable[[np.ndarray], np.ndarray]:
-    import numpy as np
-    def build(n: np.ndarray) -> np.ndarray:
-        powers = np.cumprod(np.full(n.shape, z))
-        return powers * n ** float(-s)
-
-    return build
-
-
-def _check_convergence(levels: list[_Level]) -> None:
-    damped = next((i for i, lv in enumerate(levels) if lv.rho < 1.0), None)
-    prefix = levels if damped is None else levels[:damped]
-    if not prefix:
-        return
-    if prefix[0].s < 2 or any(lv.s < 1 for lv in prefix):
-        raise DivergenceError(
-            "nested sum diverges: the levels before the first damped one must "
-            "form a convergent index (first entry >= 2, all >= 1)"
-        )
+def _check_convergence(s_row: tuple[int, ...], rhos: list[float]) -> None:
+    damped = next((i for i, rho in enumerate(rhos) if rho < 1.0), len(rhos))
+    prefix = s_row[:damped]
+    if prefix and (prefix[0] < 2 or min(prefix) < 1):
+        raise DivergenceError("nested sum diverges: the levels before the first damped one must "
+                              "form a convergent index (first entry >= 2, all >= 1)")
 
 
 def _chunked_geo_bound(rho: float, p: float, lam: int, start: int, budget: int) -> float:
@@ -348,32 +388,22 @@ def _log_moment(j: int, sigma: float, cutoff: int) -> float:
 
 def _attempt(levels: list[_Level], cutoff: int, budget: int) -> tuple[float, float]:
     """Evaluate the nested sum at one cutoff; returns (value, certified bound)."""
-    import numpy as np
+    import numpy as np  # only this fallback needs numpy
     n = np.arange(1, cutoff + 1, dtype=float)
-    weights = [lv.build(n) for lv in levels]
-    cum = None
+    weights = [n ** float(-s) * (np.exp(n * math.log(rho)) if rho < 1.0 else 1.0) for rho, s in levels]
+    inner = 1.0  # sum over the deeper levels below each n; there is at least one
     for w in reversed(weights[1:]):
-        layer = w if cum is None else w * np.concatenate(([0.0], cum[:-1]))
-        cum = np.cumsum(layer)
-    inner_shifted = np.concatenate(([0.0], cum[:-1])) if cum is not None else None
-    top = weights[0] if inner_shifted is None else weights[0] * inner_shifted
-    value = float(np.sum(top))
-    inner_at_cutoff = float(cum[-1]) if cum is not None else 1.0
+        cum = np.cumsum(w * inner)
+        inner = np.concatenate(([0.0], cum[:-1]))
+    value = float(np.sum(weights[0] * inner))
+    inner_at_cutoff = float(cum[-1])
 
-    rho1, s1 = levels[0].rho, levels[0].s
+    s1 = levels[0].s
     slop = 4e-16 * cutoff * (1.0 + abs(value))
-    if rho1 < 1.0:
-        c3, lam, p = _folded_caps(levels[1:], budget)
-        tail = c3 * _chunked_geo_bound(rho1, p - s1, lam, cutoff, budget)
-        return value, tail + slop
-
     # p-series outer level: first-order tail correction, second-order residual
     tail, tail_rem = _zeta_tail_float(s1, cutoff)
     value += inner_at_cutoff * tail
     residual = abs(inner_at_cutoff) * tail_rem + slop
-    if len(levels) == 1:
-        return value, residual
-
     c3, lam3, p3 = _folded_caps(levels[2:], budget)
     log_n = 1.0 + math.log(cutoff)  # (1+ln n) = log_n + L for the moment expansion
     rho2, s2 = levels[1].rho, levels[1].s
@@ -393,19 +423,16 @@ def _attempt(levels: list[_Level], cutoff: int, budget: int) -> tuple[float, flo
     return value, residual
 
 
-def _nested_eval(levels: list[_Level], ctx: PrecisionContext) -> tuple[float, float]:
-    _check_convergence(levels)
+def _nested_eval(levels: list[_Level], ctx: PrecisionContext) -> float:
     cutoff = 2048
     while True:
         cutoff = min(cutoff, ctx.budget)
         value, bound = _attempt(levels, cutoff, ctx.budget)
         if bound <= ctx.tolerance:
-            return value, bound
+            return value
         if cutoff >= ctx.budget:
-            raise PrecisionError(
-                f"nested sum not certifiable at tolerance {ctx.tolerance} "
-                f"within budget {ctx.budget} (bound {bound:.3g})"
-            )
+            raise PrecisionError(f"nested sum bound {bound:.3g} over tolerance {ctx.tolerance} "
+                                 f"within budget {ctx.budget}")
         cutoff *= 8
 
 
@@ -413,33 +440,52 @@ def _nested_eval(levels: list[_Level], ctx: PrecisionContext) -> tuple[float, fl
 # public evaluators
 
 
+def zeta_pos(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpmath.mpf:
+    """zeta(n) for integer n >= 2 by ``_holder`` on the index (n,).
+
+    It runs to 2^-bits <= min(ctx.tolerance, 10^-(digits+2)), about
+    3.33 (digits + 2) bits and as many terms (past ``ctx.budget`` it raises
+    ``PrecisionError``); the mpf of ``_mp(digits)`` rounds far below that.
+    """
+    if n < 2:
+        raise DomainError("zeta_pos needs n >= 2")
+    return _zeta_pos_cached(n, ctx.digits, ctx.budget, float(ctx.tolerance))
+
+
+@lru_cache(maxsize=None)
+def _zeta_pos_cached(n: int, digits: int, budget: int, tolerance: float) -> mpmath.mpf:
+    bits = max(math.ceil(-math.log2(tolerance)), math.ceil((digits + 2) * math.log2(10)) + 1)
+    fixed, scale = _holder((n,), bits, budget)
+    mp = _mp(digits)
+    return mp.ldexp(mp.mpf(fixed), -scale)
+
+
 def li_eval(s: Composition, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Multiple polylogarithm Li_s(z) for |z| < 1 and entries >= 0."""
+    """Multiple polylogarithm Li_s(z) for |z| < 1 and entries >= 0.
+
+    The direct series with every weight z (``_direct_series``), summed to
+    min(tolerance, 2^-56) where the budget allows; ``digits`` is not honoured
+    past float64.
+    """
     if not abs(z) < 1:
         raise DomainError(f"polylogarithm needs |z| < 1, got {z}")
     if any(e < 0 for e in s.entries):
         raise DomainError(f"polylogarithm entries must be >= 0: {s}")
-    if z == 0.0:
-        return 0.0
     return _li_cached(s.entries, float(z), ctx)
 
 
 @lru_cache(maxsize=8192)
 def _li_cached(entries: tuple[int, ...], z: float, ctx: PrecisionContext) -> float:
-    levels = [_Level(abs(z), entries[0], _signed_power_weights(z, entries[0]))]
-    levels += [_Level(1.0, e, _exp_weights(1.0, e)) for e in entries[1:]]
-    return _nested_eval(levels, ctx)[0]
+    return _direct_series(entries, [z] * len(entries), 0.0, ctx)
 
 
 def mzv_eval(s: Composition, ctx: PrecisionContext = DEFAULT_CTX) -> MzvResult:
     """Convergent MZV in float64 with its certified absolute error.
 
-    The value comes from the Hölder convolution at 1/2 (``_mzv_cached``),
-    which converges geometrically, so neither it nor its error depends on
-    ``ctx``: ``budget`` does not limit it and ``digits`` is not honoured past
-    float64.  The error is (weight + 1) * 67 * 2^-52 of the value plus a
-    truncation of weight * 2^-63, below 3e-13 through weight 8; the call
-    raises ``PrecisionError`` when it exceeds ``ctx.tolerance``.
+    ``_mzv_cached`` depends on the index alone: ``budget`` does not limit it
+    and ``digits`` is not honoured past float64.  The error is 2^-56 plus
+    2^-50 of the value, below 1.5e-15; above ``ctx.tolerance`` the call
+    raises ``PrecisionError``.
     """
     if not s.is_convergent:
         raise DomainError(f"MZV evaluation needs a convergent composition: {s}")
@@ -452,90 +498,43 @@ def mzv_eval(s: Composition, ctx: PrecisionContext = DEFAULT_CTX) -> MzvResult:
     return MzvResult(value, error)
 
 
-_HALF_TERMS = 64  # N: series coefficients kept per factor of the convolution
-_HALF_POWERS = tuple(2.0**-m for m in range(_HALF_TERMS + 1))
-
-
-def _half_values(letters: list[int]) -> list[float]:
-    """Li_w(1/2) for every suffix w = letters[k:], k = 0..n (the empty word gives 1).
-
-    letters are 0 for x0 and 1 for x1, and the last one is x1.  The series
-    sum c_m z^m of each suffix comes from the previous one by prepending a
-    letter, starting from the empty word (c = 1, 0, 0, ...): x0 integrates
-    against dt/t and maps c_m to c_m/m, x1 integrates against dt/(1-t) and
-    maps c_m to (1/m) sum_{j<m} c_j.  By induction every c_m lies in [0, 1].
-    Only c_0..c_N are kept; they are exact, because c_m reads lower indices
-    only.
-    """
-    c = [1.0] + [0.0] * _HALF_TERMS
-    values = [1.0]
-    for letter in reversed(letters):
-        if letter:
-            c = [0.0] + [p / m for m, p in enumerate(accumulate(c[:-1]), 1)]
-        else:
-            c = [0.0] + [c[m] / m for m in range(1, _HALF_TERMS + 1)]
-        values.append(math.fsum(map(operator.mul, c, _HALF_POWERS)))
-    return values[::-1]
-
-
 @lru_cache(maxsize=4096)
 def _mzv_cached(entries: tuple[int, ...]) -> tuple[float, float]:
-    """(zeta(entries), certified absolute error) by the Hölder convolution at 1/2.
+    """(zeta(entries), error): ``_holder`` to 2^-56, rounded to float64.
 
-    With w = w_1...w_n the word x0^(s_1-1) x1 ... x0^(s_k-1) x1 of weight n,
-    zeta(s) is the iterated integral over 1 > t_1 > ... > t_n > 0 of
-    omega_(w_1)(t_1) ... omega_(w_n)(t_n), with omega_0 = dt/t and
-    omega_1 = dt/(1-t).  Splitting the region by the number j of t's above
-    1/2 (Borwein-Bradley-Broadhurst-Lisonek, arXiv:math/9910045) gives
-
-        zeta(w) = sum_{j=0..n} Li_{(w_1...w_j)^dagger}(1/2) Li_{w_(j+1)...w_n}(1/2):
-
-    the lower block is a polylog at 1/2 directly, and t -> 1-t turns the
-    upper one into the dual word, with x0 and x1 swapped and the letters
-    reversed.  Every term is positive.  The suffix factors come from one
-    sweep over w, the dual prefixes from one sweep over the dual of w.
-
-    Truncation.  A non-empty factor is at most sum_{m>=1} 2^-m = 1, and its
-    tail sum_{m>N} c_m 2^-m is at most 2^-N.  Truncated factors A, B with
-    tails a, b miss (A+a)(B+b) - AB = a(B+b) + Ab <= a + b, so the terms with
-    j = 0 or n miss at most 2^-N and the others 2^(1-N): 2n 2^-N in all.
-
-    Rounding.  Every quantity is non-negative, so relative errors compound
-    without cancellation.  Along any path there are at most N roundings per
-    letter (the partial sums and one division), one per factor (``fsum`` is
-    correctly rounded and the scaling by 2^-m is exact), one per product and
-    one in the outer ``fsum``: k <= nN + 4 roundings of unit 2^-53, so the
-    computed value is within k 2^-52 of the truncated one, relative to
-    itself.  The allowance (n+1)(N+3) 2^-52 exceeds that by a factor of at
-    least 1 + (N+2)/(nN+4), which also covers the rounding of the bound.
+    Rounding costs at most 2^-53 of the value; the error allows 2^-50 of it,
+    which also covers its own float evaluation and sums of a few values.
     """
-    word = [letter for e in entries for letter in (0,) * (e - 1) + (1,)]
-    dual = [1 - letter for letter in reversed(word)]
-    n = len(word)
-    value = math.fsum(map(operator.mul, _half_values(word), reversed(_half_values(dual))))
-    truncation = 2 * n * 2.0**-_HALF_TERMS
-    rounding = (n + 1) * (_HALF_TERMS + 3) * 2.0**-52 * value
-    return value, truncation + rounding
+    fixed, scale = _holder(entries, 56)
+    value = fixed / (1 << scale)
+    return value, 2.0**-56 + 2.0**-50 * value
 
 
 def z_directional(b: BiComposition, eps: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Directional regularized MZV: the r-row damps each index by e^(n r eps).
 
-    Requires eps < 0.  Converges when the top row is damped (r1 > 0) or when
-    the undamped leading block is a convergent index.  With no level damped
-    the value is the MZV of the top row, whatever eps is, and comes from
-    ``mzv_eval``.
+    Requires eps < 0.  With r_1 > 0 it is ``_direct_series`` with level
+    weights P_i = e^(eps (r_1 + ... + r_i)), as prod_i e^(n_i r_i eps) =
+    prod_i P_i^(n_i - n_(i+1)); any top row converges, and the sum runs to
+    min(tolerance, 2^-56) where the budget allows.  Each float P_i rounds eps
+    times the exact sum of the r_i once and ``math.exp`` errs within an ulp:
+    a drift of at most 2^-50 (1 + |eps (r_1 + ... + r_i)|) in ln P_i.  With
+    no level damped it is ``mzv_eval`` of the top row.  With r_1 = 0 and a
+    later level damped, such as "[2,1 | 0,1]", ``_nested_eval`` sums it in
+    float64 numpy to ``ctx.tolerance``.  Undamped leading levels must form a
+    convergent index.
     """
     if not eps < 0:
         raise DomainError(f"directional regularization needs eps < 0, got {eps}")
-    levels = []
-    for s_entry, r_entry in zip(b.s_row, b.r_row):
-        rho = math.exp(float(r_entry) * eps) if r_entry else 1.0
-        levels.append(_Level(rho, s_entry, _exp_weights(rho, s_entry)))
-    if all(lv.rho == 1.0 for lv in levels):
-        _check_convergence(levels)
+    if b.r_row[0]:
+        exponents = [float(r) * eps for r in accumulate(b.r_row)]
+        drift = 2.0**-50 * (1 + max(map(abs, exponents)))
+        return _direct_series(b.s_row, [math.exp(a) for a in exponents], drift, ctx)
+    rhos = [math.exp(float(r) * eps) for r in b.r_row]
+    _check_convergence(b.s_row, rhos)
+    if not any(b.r_row):
         return mzv_eval(Composition(b.s_row), ctx).value
-    return _nested_eval(levels, ctx)[0]
+    return _nested_eval([_Level(rho, s) for s, rho in zip(b.s_row, rhos)], ctx)
 
 
 def polylog_derivative_check(

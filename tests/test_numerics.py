@@ -80,6 +80,16 @@ class TestZetaPos:
         mp.dps = 60
         assert abs(zeta_pos(3, wide) - mp.zeta(3)) < mpmath.mpf(10) ** -40
 
+    def test_three_hundred_digits(self):
+        ctx = PrecisionContext(digits=300, budget=200_000, tolerance=1e-15)
+        with mpmath.workdps(330):
+            for n in range(2, 13):
+                assert abs(zeta_pos(n, ctx) - mpmath.zeta(n)) < mpmath.mpf(10) ** -300, n
+
+    def test_budget_caps_the_series(self):
+        with pytest.raises(PrecisionError):
+            zeta_pos(3, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+
 
 class TestZetaNonpos:
     def test_values(self):
@@ -127,6 +137,16 @@ class TestPolylog:
             li_eval(C(1), 1.0, TIGHT)
         with pytest.raises(DomainError):
             li_eval(C(1), -1.5, TIGHT)
+
+    def test_against_mpmath_at_a_loose_tolerance(self):
+        # the tolerance does not stop the sum: the series runs to the float64 floor
+        with mpmath.workdps(40):
+            for z in (0.9, -0.9, 0.99):
+                for k in range(5):
+                    truth = mpmath.polylog(k, mpmath.mpf(z))
+                    assert abs(li_eval(C(k), z, CTX) - truth) < 1e-14 * max(1, abs(truth)), (k, z)
+                truth = mpmath.log(1 - mpmath.mpf(z)) ** 2 / 2
+                assert abs(li_eval(C(1, 1), z, CTX) - truth) < 1e-14 * max(1, truth), z
 
     def test_precision_failure_near_one(self):
         cramped = PrecisionContext(digits=20, budget=1_000, tolerance=1e-12)
@@ -198,9 +218,13 @@ class TestMzv:
     def test_leaves_numpy_out(self):
         code = (
             "import sys\n"
-            "from mzvkit.compositions import Composition\n"
-            "from mzvkit.numerics import mzv_eval\n"
+            "from mzvkit.compositions import BiComposition, Composition\n"
+            "from mzvkit.numerics import li_eval, mzv_eval, z_directional, zeta_pos\n"
             "mzv_eval(Composition((3, 1, 2)))\n"
+            "li_eval(Composition((2, 0, 1)), -0.6)\n"
+            "zeta_pos(7)\n"
+            "z_directional(BiComposition.make([-1, 2], [1, 0]), -0.5)\n"
+            "z_directional(BiComposition.make([2, 1], [0, 0]), -0.5)\n"
             "sys.exit('numpy' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
@@ -272,6 +296,45 @@ class TestDirectional:
         got = z_directional(BiComposition.make([-1], [1]), -1.0, TIGHT)
         # sum n e^{-n} = e/(e-1)^2
         assert got == pytest.approx(math.e / (math.e - 1) ** 2, abs=1e-10)
+
+    @staticmethod
+    def _double_sum(s1, s2, rho1, rho2, cutoff=300):
+        total, inner = mpmath.mpf(0), mpmath.mpf(0)
+        for n in range(1, cutoff):
+            total += rho1**n * mpmath.mpf(n) ** -s1 * inner
+            inner += rho2**n * mpmath.mpf(n) ** -s2
+        return total
+
+    def test_damped_first_level_matches_double_sum(self):
+        eps = -0.7
+        with mpmath.workdps(40):
+            for s_row, r_row in (([2, 1], [1, Fraction(1, 2)]), ([1, 3], [Fraction(3, 2), 0])):
+                rho1, rho2 = (mpmath.exp(mpmath.mpf(r.numerator) / r.denominator * eps)
+                              for r in map(Fraction, r_row))
+                truth = self._double_sum(*s_row, rho1, rho2)
+                got = z_directional(BiComposition.make(s_row, r_row), eps, TIGHT)
+                assert abs(got - truth) < 1e-15, (s_row, r_row)
+
+    def test_negative_entries_behind_damping_at_depth_two(self):
+        # sum over n1 > n2 of e^(-n1) n1 n2^2, the inner level undamped
+        with mpmath.workdps(40):
+            truth = self._double_sum(-1, -2, mpmath.exp(-1), 1)
+        got = z_directional(BiComposition.make([-1, -2], [1, 0]), -1.0, TIGHT)
+        assert abs(got - truth) < 1e-14 * truth
+
+    def test_weak_damping_still_certifies(self):
+        # the float error of e^(r eps) is bounded through the computed series,
+        # not through a majorant that blows up like (1 - rho)^-3 here
+        ctx = PrecisionContext(digits=20, budget=200_000, tolerance=1e-8)
+        got = z_directional(BiComposition.make([1, 1], [1, 0]), -0.001, ctx)
+        with mpmath.workdps(40):
+            truth = mpmath.log(1 - mpmath.exp(mpmath.mpf(-0.001))) ** 2 / 2
+        assert abs(got - truth) < 1e-12 * truth
+
+    def test_weak_damping_exceeds_budget(self):
+        cramped = PrecisionContext(digits=20, budget=1_000, tolerance=1e-8)
+        with pytest.raises(PrecisionError):
+            z_directional(BiComposition.make([1], [1]), -1e-5, cramped)
 
 
 class TestKernelSeries:
