@@ -4,8 +4,8 @@ Design notes.  One series engine, ``_sweep``, runs the power-series
 recurrence of an iterated integral letter by letter in integer fixed point,
 so its error is a count of units.  ``zeta_pos`` and ``mzv_eval`` split the
 word at 1/2 (``_holder``), ``li_eval`` and damped ``z_directional`` sum the
-direct series (``_direct_series``).  Only directional sums with an undamped
-first level and a damped later one run a float64 numpy p-series kernel.
+direct series (``_direct_series``); undamped levels above the first damped
+one enter that series as one vector letter, the tails of their MZV.
 
 Exact material (Bernoulli numbers, the Laurent expansion of e^eps/(1-e^eps),
 the pole projector) is kept in Fraction arithmetic so identity checks can
@@ -182,16 +182,19 @@ def _sweep(letters: list, terms: int, scale: int) -> list[int]:
     """Values of the series of every suffix letters[j:], in units of 2^-scale.
 
     The empty word has c = (1, 0, 0, ...); prepending a letter maps c_m to
-    c_m / m (x0), (1/m) sum_{j<m} x^(m-j) c_j (x1 of float weight |x| <= 1)
-    or m c_m (UP); a value is sum_{m>=1} c_m, and c_m reads no higher index.
+    c_m / m (x0), (1/m) sum_{j<m} x^(m-j) c_j (x1 of float weight |x| <= 1),
+    m c_m (UP) or c_m V_m (a vector letter: a list V of terms + 1 fixed-point
+    values); a value is sum_{m>=1} c_m, and c_m reads no higher index.
     Levels (s_i, x_i), each x0^(s-1) x1 or UP^(1-s) x1, give the sum over
     n_1 > ... > n_k >= 1 of prod_i x_i^(n_i - n_(i+1)) n_i^(-s_i), n_(k+1) = 0.
 
     Rounding: x1 keeps r_m = floor(x (r_(m-1) + c_(m-1))) and stores
     floor(r_m / m), x0 floor(c_m / m), UP is exact.  Errors of at most e m^t
     units per c_m become (e+1) m^t after x0, e m^(t+1) after UP and
-    (e+2) m^t after x1, as r_m errs by at most sum_{j<m} e j^t + m.  After
-    L letters, u of them UP, each value is within 2L terms^(u+1) units.
+    (e+2) m^t after x1, as r_m errs by at most sum_{j<m} e j^t + m: after L
+    such letters, u of them UP, each value is within 2L terms^(u+1) units.
+    A vector stores floor(c_m V_m 2^-scale); for |V_m| <= 2, V_m within v
+    units and exact |c_m| <= C (in value), e units in c_m become 2e + C v + 1.
     """
     c = [1 << scale] + [0] * terms
     values = [c[0]]
@@ -200,6 +203,8 @@ def _sweep(letters: list, terms: int, scale: int) -> list[int]:
             c = [0] + [a // m for m, a in enumerate(c[1:], 1)]
         elif letter == UP:
             c = [m * a for m, a in enumerate(c)]
+        elif isinstance(letter, list):
+            c = [a * v >> scale for a, v in zip(c, letter)]
         else:
             num, den = letter.as_integer_ratio()
             shift, r = den.bit_length() - 1, 0  # floats are dyadic
@@ -240,6 +245,24 @@ def _holder(entries: tuple[int, ...], bits: int, budget: float = math.inf) -> tu
     return sum(products) >> scale, scale
 
 
+def _prefix_tails(prefix: tuple[int, ...], terms: int, scale: int) -> list[int]:
+    """U(m) = sum over n_1 > ... > n_j > m of prod_i n_i^(-s_i) for m = 0..terms,
+    in units of 2^-scale, for a convergent prefix s_1..s_j with every s_i >= 1.
+
+    U_i, the tail of the first i levels, starts at zeta(s_1..s_i) (``_holder``
+    floored to the scale, within 2 units) and drops the terms with n_i = m:
+    U_i(m) = U_i(m-1) - floor(U_(i-1)(m) / m^(s_i)), U_0 = 1.  If U_(i-1)(m)
+    is within a + b m units, a step adds at most a + b + 1, so U_i(m) is
+    within 2 + (3i - 2) m <= 3i (m+1) units.
+    """
+    tails = [1 << scale] * (terms + 1)
+    for i, s in enumerate(prefix, 1):
+        fixed, shift = _holder(prefix[:i], scale)
+        u = fixed >> (shift - scale)
+        tails = [u] + [u := u - t // m**s for m, t in enumerate(tails[1:], 1)]
+    return tails
+
+
 def _tail(rate: float, power: int, n: int) -> float:
     """Bound on sum_{m>n} rate^m m^power: past n each term ratio is at most
     q = rate (1 + 1/(n+1))^max(power, 0); for q < 1 it is the next term over 1 - q."""
@@ -260,180 +283,52 @@ def _series_length(rate: float, power: int, target: float, budget: int) -> int:
     return high
 
 
-def _direct_series(entries: tuple[int, ...], weights: list[float], drift: float,
-                   ctx: PrecisionContext) -> float:
-    """The level sum of ``_sweep`` for entries s_i and float weights x_i.
+def _direct_series(prefix: tuple[int, ...], entries: tuple[int, ...], weights: list[float],
+                   drift: float, ctx: PrecisionContext) -> float:
+    """The level sum of ``_sweep`` for entries s_i and float weights x_i,
+    below the undamped levels of ``prefix`` (empty for none).
 
     Here r = max |x_i| < 1.  At most m^(k-1) tuples have n_1 = m, with
     n_i^(-s_i) at most m^max(0, -s_i) for i > 1: their terms a_m sum to at
-    most r^m m^p, p = k - 1 - s_1 + sum_{i>1} max(0, -s_i).  N terms leave
-    a tail of at most min(tol, 2^-56)/2 where ``budget`` allows.  A leading
-    UP makes L letters, u of them UP: the value is within U = 2L N^u units
-    and sum_{m<=N} m a_m within N U (``_sweep``); the scale keeps U below a
-    quarter of the target.  With drift > 0 the weights are positive and each
-    within e^(+-drift) of the weight meant, which moves a_m by at most
-    (e^(m drift) - 1) a_m <= m drift e^(m drift) a_m: by drift e^(N drift)
-    sum_{m<=N} m a_m up to N, and by drift _tail(r e^drift, p + 1, N) past
-    it, doubled for float evaluation.  A total over ``ctx.tolerance`` raises
-    ``PrecisionError``.
+    most r^m m^p, p = k - 1 - s_1 + sum_{i>1} max(0, -s_i).  A prefix of
+    depth j, all entries >= 1, lies above n_1 = m and weighs a_m by its tail
+    U(m) (``_prefix_tails``), 0 <= U(m) <= U(0) <= T = zeta(2) < 1.645 (T = 1
+    for none).  N terms make T _tail(r, p, N) at most min(tol, 2^-56)/2
+    where ``budget`` allows.
+
+    The letters are a leading UP, the vector U for a prefix, and L level
+    letters, u of them UP; the first value is sum_{m<=N} m a_m U(m).  With no
+    prefix the second is within E = 2(L+1) N^(u+1) units (``_sweep``).  With
+    one, c_m is within 2L m^u units before the vector, U within 3j(m+1) <=
+    6jm and a_m <= m^max(p, 0), so after it c_m is within (4L + 6j + 1) m^t,
+    t = max(u, max(p, 0) + 1): E = (4L + 6j + 1) N^(t+1).  The first value is
+    within N E, and the scale keeps E below a quarter of the target.  With
+    drift > 0 the weights are positive and each within e^(+-drift) of the
+    weight meant, which moves a_m U(m) by at most (e^(m drift) - 1) a_m U(m)
+    <= m drift e^(m drift) a_m U(m): by drift e^(N drift) sum_{m<=N} m a_m U(m)
+    up to N, and by drift T _tail(r e^drift, p + 1, N) past it, doubled for
+    float evaluation.  A total over ``ctx.tolerance`` raises ``PrecisionError``.
     """
     power = len(entries) - 1 - entries[0] + sum(max(0, -s) for s in entries[1:])
     rate = max(map(abs, weights))
     target = min(ctx.tolerance, 2.0**-56)  # the float64 floor, about 1.4e-17
-    terms = _series_length(rate, power, target / 2, ctx.budget)
+    top = 1.645 if prefix else 1.0
+    terms = _series_length(rate, power, target / (2 * top), ctx.budget)
     levels = [a for s, x in zip(entries, weights) for a in [X0] * (s - 1) + [UP] * (1 - s) + [x]]
-    letters = [UP] + levels
-    units = 2 * len(letters) * terms ** letters.count(UP)
+    if prefix:
+        exponent = max(levels.count(UP), max(power, 0) + 1) + 1
+        units = (4 * len(levels) + 6 * len(prefix) + 1) * terms**exponent
+    else:
+        units = 2 * (len(levels) + 1) * terms ** (levels.count(UP) + 1)
     scale = math.ceil(-math.log2(target)) + 2 + units.bit_length()
-    moments, value = _sweep(letters, terms, scale)[:2]
+    vector = [_prefix_tails(prefix, terms, scale)] if prefix else []
+    moments, value = _sweep([UP] + vector + levels, terms, scale)[:2]
     moved = drift and (math.exp(terms * drift) * (moments + units * terms) / 2**scale
-                       + _tail(rate * math.exp(drift), power + 1, terms))
-    bound = _tail(rate, power, terms) + units / 2**scale + 2 * drift * moved
+                       + top * _tail(rate * math.exp(drift), power + 1, terms))
+    bound = top * _tail(rate, power, terms) + units / 2**scale + 2 * drift * moved
     if not bound <= ctx.tolerance:
         raise PrecisionError(f"series bound {bound:.3g} over tolerance {ctx.tolerance}")
     return value / (1 << scale)
-
-
-# ---------------------------------------------------------------------------
-# nested sums with an undamped first level and a damped later one: p-series
-# tails certified per level in float64 numpy
-
-
-_B_EVEN_FLOAT = tuple(float(bernoulli(2 * k)) for k in range(1, 6))
-
-
-def _zeta_tail_float(s: int, cutoff: int) -> tuple[float, float]:
-    """(sum over n > cutoff of n^-s, remainder bound), in float64."""
-    total = cutoff ** (1.0 - s) / (s - 1) - 0.5 * cutoff ** (-1.0 * s)
-    rising = 1.0
-    for k in range(1, 5):
-        rising *= s + 2 * k - 2
-        if k > 1:
-            rising *= s + 2 * k - 3
-        term = _B_EVEN_FLOAT[k - 1] / math.factorial(2 * k) * rising * cutoff ** (-s - 2 * k + 1.0)
-        total += term
-    rising *= (s + 7) * (s + 8)
-    remainder = abs(_B_EVEN_FLOAT[4] / math.factorial(10) * rising * cutoff ** (-s - 9.0))
-    return total, remainder
-
-
-class _Level(NamedTuple):
-    rho: float  # weight(n) = rho^n * n^(-s), 0 <= rho <= 1
-    s: int
-
-
-def _check_convergence(s_row: tuple[int, ...], rhos: list[float]) -> None:
-    damped = next((i for i, rho in enumerate(rhos) if rho < 1.0), len(rhos))
-    prefix = s_row[:damped]
-    if prefix and (prefix[0] < 2 or min(prefix) < 1):
-        raise DivergenceError("nested sum diverges: the levels before the first damped one must "
-                              "form a convergent index (first entry >= 2, all >= 1)")
-
-
-def _chunked_geo_bound(rho: float, p: float, lam: int, start: int, budget: int) -> float:
-    """Upper bound on sum_{m > start} rho^m m^p (1+ln m)^lam for rho < 1."""
-    import numpy as np
-    if rho == 0.0:
-        return 0.0
-    total = 0.0
-    m0 = start + 1
-    growth = lam + max(p, 0.0)
-    while True:
-        q = rho * (1.0 + 1.0 / m0) ** growth
-        head = rho**m0 * m0**p * (1.0 + math.log(m0)) ** lam
-        if q < 1.0:
-            return total + head / (1.0 - q)
-        chunk = np.arange(m0, m0 + 4096, dtype=float)
-        total += float(np.sum(np.exp(chunk * math.log(rho)) * chunk**p * (1.0 + np.log(chunk)) ** lam))
-        m0 += 4096
-        if m0 > max(10_000_000, 100 * budget):
-            raise PrecisionError("geometric damping too weak to certify a tail bound")
-
-
-def _pseries_bound(sigma: float, lam: int) -> float:
-    """Upper bound on sum_{m >= 1} m^-sigma (1+ln m)^lam for sigma >= 2."""
-    import numpy as np
-    m = np.arange(1, 8193, dtype=float)
-    head = float(np.sum(m**-sigma * (1.0 + np.log(m)) ** lam))
-    cutoff = 8192.0
-    tail = 3.0 * (1.0 + math.log(cutoff)) ** lam * cutoff ** (1.0 - sigma) / (sigma - 1.0)
-    return head + tail
-
-
-def _folded_caps(levels: list[_Level], budget: int) -> tuple[float, int, float]:
-    """(C, lam, p) with nested partial sums over these levels <= C (1+ln m)^lam m^p."""
-    c, lam, p = 1.0, 0, 0.0
-    for level in reversed(levels):
-        if level.rho < 1.0:
-            c = c * _chunked_geo_bound(level.rho, p - level.s, lam, 0, budget)
-            lam, p = 0, 0.0
-        else:
-            sigma = level.s - p
-            if sigma >= 2:
-                c, lam, p = c * _pseries_bound(sigma, lam), 0, 0.0
-            elif sigma == 1:
-                lam, p = lam + 1, 0.0
-            else:
-                c = c * 2.0 ** (1.0 - sigma) / (1.0 - sigma)
-                p = 1.0 - sigma
-    return c, lam, p
-
-
-def _log_moment(j: int, sigma: float, cutoff: int) -> float:
-    """Upper bound on sum_{n > cutoff} ln(n/cutoff)^j n^-sigma for sigma >= 2."""
-    integral = cutoff ** (1.0 - sigma) * math.factorial(j) / (sigma - 1.0) ** (j + 1)
-    peak = (j / sigma) ** j * math.exp(-j) * cutoff ** (-sigma) if j else cutoff ** (-sigma)
-    return integral + peak
-
-
-def _attempt(levels: list[_Level], cutoff: int, budget: int) -> tuple[float, float]:
-    """Evaluate the nested sum at one cutoff; returns (value, certified bound)."""
-    import numpy as np  # only this fallback needs numpy
-    n = np.arange(1, cutoff + 1, dtype=float)
-    weights = [n ** float(-s) * (np.exp(n * math.log(rho)) if rho < 1.0 else 1.0) for rho, s in levels]
-    inner = 1.0  # sum over the deeper levels below each n; there is at least one
-    for w in reversed(weights[1:]):
-        cum = np.cumsum(w * inner)
-        inner = np.concatenate(([0.0], cum[:-1]))
-    value = float(np.sum(weights[0] * inner))
-    inner_at_cutoff = float(cum[-1])
-
-    s1 = levels[0].s
-    slop = 4e-16 * cutoff * (1.0 + abs(value))
-    # p-series outer level: first-order tail correction, second-order residual
-    tail, tail_rem = _zeta_tail_float(s1, cutoff)
-    value += inner_at_cutoff * tail
-    residual = abs(inner_at_cutoff) * tail_rem + slop
-    c3, lam3, p3 = _folded_caps(levels[2:], budget)
-    log_n = 1.0 + math.log(cutoff)  # (1+ln n) = log_n + L for the moment expansion
-    rho2, s2 = levels[1].rho, levels[1].s
-    if rho2 < 1.0:
-        growth_const = c3 * _chunked_geo_bound(rho2, p3 - s2, lam3, cutoff, budget)
-        residual += growth_const * _log_moment(0, s1, cutoff)
-    elif s2 >= 2:
-        assert p3 == 0  # undamped level 2 puts levels 3+ inside the convergent prefix
-        inc2 = _zeta_tail_float(s2, cutoff)[0] + cutoff ** (-1.0 * s2)
-        for j in range(lam3 + 1):
-            coeff = c3 * inc2 * math.comb(lam3, j) * log_n ** (lam3 - j)
-            residual += coeff * _log_moment(j, s1, cutoff)
-    else:  # s2 == 1 (guard excludes lower values here)
-        for j in range(lam3 + 1):
-            coeff = c3 * math.comb(lam3, j) * log_n ** (lam3 - j)
-            residual += coeff * (_log_moment(j + 1, s1, cutoff) + _log_moment(j, s1, cutoff) / cutoff)
-    return value, residual
-
-
-def _nested_eval(levels: list[_Level], ctx: PrecisionContext) -> float:
-    cutoff = 2048
-    while True:
-        cutoff = min(cutoff, ctx.budget)
-        value, bound = _attempt(levels, cutoff, ctx.budget)
-        if bound <= ctx.tolerance:
-            return value
-        if cutoff >= ctx.budget:
-            raise PrecisionError(f"nested sum bound {bound:.3g} over tolerance {ctx.tolerance} "
-                                 f"within budget {ctx.budget}")
-        cutoff *= 8
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +371,7 @@ def li_eval(s: Composition, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> fl
 
 @lru_cache(maxsize=8192)
 def _li_cached(entries: tuple[int, ...], z: float, ctx: PrecisionContext) -> float:
-    return _direct_series(entries, [z] * len(entries), 0.0, ctx)
+    return _direct_series((), entries, [z] * len(entries), 0.0, ctx)
 
 
 def mzv_eval(s: Composition, ctx: PrecisionContext = DEFAULT_CTX) -> MzvResult:
@@ -513,28 +408,28 @@ def _mzv_cached(entries: tuple[int, ...]) -> tuple[float, float]:
 def z_directional(b: BiComposition, eps: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Directional regularized MZV: the r-row damps each index by e^(n r eps).
 
-    Requires eps < 0.  With r_1 > 0 it is ``_direct_series`` with level
-    weights P_i = e^(eps (r_1 + ... + r_i)), as prod_i e^(n_i r_i eps) =
-    prod_i P_i^(n_i - n_(i+1)); any top row converges, and the sum runs to
-    min(tolerance, 2^-56) where the budget allows.  Each float P_i rounds eps
-    times the exact sum of the r_i once and ``math.exp`` errs within an ulp:
-    a drift of at most 2^-50 (1 + |eps (r_1 + ... + r_i)|) in ln P_i.  With
-    no level damped it is ``mzv_eval`` of the top row.  With r_1 = 0 and a
-    later level damped, such as "[2,1 | 0,1]", ``_nested_eval`` sums it in
-    float64 numpy to ``ctx.tolerance``.  Undamped leading levels must form a
-    convergent index.
+    Requires eps < 0.  The levels before the first one with r_k > 0 (an
+    exact test) are undamped and must form a convergent index A (first entry
+    >= 2, all >= 1).  With no level damped it is ``mzv_eval`` of the top row,
+    else ``_direct_series`` of levels k.. below the prefix A, with level
+    weights P_i = e^(eps (r_k + ... + r_i)), as prod_(i>=k) e^(n_i r_i eps) =
+    prod_(i>=k) P_i^(n_i - n_(i+1)); any top row from k on converges.  Each
+    float P_i rounds eps times the exact sum of the r_i once and ``math.exp``
+    errs within an ulp: a drift of at most 2^-50 (1 + |eps (r_k + ... + r_i)|)
+    in ln P_i.
     """
     if not eps < 0:
         raise DomainError(f"directional regularization needs eps < 0, got {eps}")
-    if b.r_row[0]:
-        exponents = [float(r) * eps for r in accumulate(b.r_row)]
-        drift = 2.0**-50 * (1 + max(map(abs, exponents)))
-        return _direct_series(b.s_row, [math.exp(a) for a in exponents], drift, ctx)
-    rhos = [math.exp(float(r) * eps) for r in b.r_row]
-    _check_convergence(b.s_row, rhos)
-    if not any(b.r_row):
+    k = next((i for i, r in enumerate(b.r_row) if r > 0), b.depth)
+    prefix = b.s_row[:k]
+    if prefix and (prefix[0] < 2 or min(prefix) < 1):
+        raise DivergenceError("nested sum diverges: the levels before the first damped one must "
+                              "form a convergent index (first entry >= 2, all >= 1)")
+    if k == b.depth:
         return mzv_eval(Composition(b.s_row), ctx).value
-    return _nested_eval([_Level(rho, s) for s, rho in zip(b.s_row, rhos)], ctx)
+    exponents = [float(r) * eps for r in accumulate(b.r_row[k:])]
+    drift = 2.0**-50 * (1 + max(map(abs, exponents)))
+    return _direct_series(prefix, b.s_row[k:], [math.exp(a) for a in exponents], drift, ctx)
 
 
 def polylog_derivative_check(

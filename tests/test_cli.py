@@ -134,6 +134,11 @@ class TestNumericCommands:
         assert code == 0
         assert out.startswith("0.58197670687 ±")
 
+    def test_zdir_below_undamped_prefix(self, capsys):
+        code, out, _ = run(capsys, "zdir", "--tol", "1e-8", "[2,1,1 | 0,0,1]", "--", "-0.5")
+        assert code == 0
+        assert out.startswith("0.4360224948 ±")
+
     def test_rho_table(self, capsys):
         code, out, _ = run(capsys, "rho", "--order", "3")
         assert code == 0

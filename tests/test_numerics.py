@@ -225,6 +225,7 @@ class TestMzv:
             "zeta_pos(7)\n"
             "z_directional(BiComposition.make([-1, 2], [1, 0]), -0.5)\n"
             "z_directional(BiComposition.make([2, 1], [0, 0]), -0.5)\n"
+            "z_directional(BiComposition.make([2, 1], [0, 1]), -0.5)\n"
             "sys.exit('numpy' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
@@ -286,6 +287,11 @@ class TestDirectional:
             z_directional(BiComposition.make([1], [0]), -1.0, CTX)
         with pytest.raises(DivergenceError):
             z_directional(BiComposition.make([1, 2], [0, 1]), -1.0, CTX)
+        with pytest.raises(DivergenceError):
+            z_directional(BiComposition.make([2, 0, 1], [0, 0, 1]), -1.0, CTX)
+        # e^(-1e-17) rounds to 1.0, but r > 0 still damps: convergent, not certifiable
+        with pytest.raises(PrecisionError):
+            z_directional(BiComposition.make([2, 0], [0, 1]), -1e-17, CTX)
 
     def test_eps_sign_guard(self):
         with pytest.raises(DomainError):
@@ -321,6 +327,43 @@ class TestDirectional:
             truth = self._double_sum(-1, -2, mpmath.exp(-1), 1)
         got = z_directional(BiComposition.make([-1, -2], [1, 0]), -1.0, TIGHT)
         assert abs(got - truth) < 1e-14 * truth
+
+    @staticmethod
+    def _below_prefix(prefix, prefix_zeta, s, r, eps):
+        """sum over m of e^(m r eps) m^-s U(m), U(m) the tail of zeta(prefix) above m,
+        from Hurwitz zeta values; prefix_zeta is zeta(prefix) for depth 2."""
+        rate = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator * eps)
+        s1 = prefix[0]
+        tail = prefix_zeta if len(prefix) == 2 else None
+        total = mpmath.mpf(0)
+        for m in range(1, math.ceil(60 / abs(float(r) * eps))):
+            head = mpmath.zeta(s1, m + 1)  # sum over n > m of n^-s1
+            if tail is not None:
+                tail -= head / mpmath.mpf(m) ** prefix[1]
+            total += rate**m * mpmath.mpf(m) ** -s * (head if tail is None else tail)
+        return total
+
+    def test_undamped_prefix_matches_hurwitz_oracle(self):
+        with mpmath.workdps(40):
+            cases = [
+                ((2,), None, 1, Fraction(1), -0.5),
+                ((3,), None, 1, Fraction(2), -0.3),
+                ((2,), None, 2, Fraction(1, 2), -0.7),
+                ((3, 1), mpmath.pi**4 / 360, 0, Fraction(1, 2), -0.2),
+                ((2, 1), mpmath.zeta(3), 1, Fraction(1), -0.5),
+            ]
+            for prefix, prefix_zeta, s, r, eps in cases:
+                truth = self._below_prefix(prefix, prefix_zeta, s, r, eps)
+                b = BiComposition.make(prefix + (s,), (0,) * len(prefix) + (r,))
+                got = z_directional(b, eps, TIGHT)
+                assert abs(got - truth) < 1e-15, (b, eps)
+        assert got == pytest.approx(0.43602249479815663, abs=1e-15)
+
+    def test_undamped_prefix_above_negative_entry_weakly_damped(self):
+        # a cancellation route (a stuffle split into pieces far above the sum) would refuse this
+        ctx = PrecisionContext(digits=20, budget=200_000, tolerance=1e-8)
+        got = z_directional(BiComposition.make([2, -1], [0, Fraction(1, 2)]), -0.01, ctx)
+        assert got == pytest.approx(197.0948972, abs=1e-6)
 
     def test_weak_damping_still_certifies(self):
         # the float error of e^(r eps) is bounded through the computed series,
