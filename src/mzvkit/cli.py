@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import expressions as expr
@@ -139,7 +140,7 @@ def _cmd_regularize(args, shuffle_side: bool) -> int:
                 lines.append(f"{deg},\"{label}\",{reg.fraction_str(c)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(args, reg.reg_poly_str(poly))
+        _emit(args, str(poly))
     return 0
 
 
@@ -168,7 +169,8 @@ def _cmd_zeta(args) -> int:
     ctx = _context(args)
     if args.n >= 2:
         value = num.zeta_pos(args.n, ctx)
-        _emit(args, num.format_value(value, float(min(ctx.tolerance, 10.0 ** -ctx.digits))))
+        # Decimal, not float: 10.0 ** -digits underflows to 0 past 323 digits
+        _emit(args, num.format_value(value, min(Decimal(ctx.tolerance), Decimal(10) ** -ctx.digits)))
     elif args.n <= 0:
         exact = num.zeta_nonpos(-args.n)
         _emit(args, f"{reg.fraction_str(exact)} (exact)")
@@ -295,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, DivergenceError, ValueError) as exc:
+    except (DomainError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -375,13 +375,13 @@ class TPoly(Sparse, Generic[R]):
             c = self._terms[deg]
             mono = "" if deg == 0 else ("T" if deg == 1 else f"T^{deg}")
             text = str(c)
-            if " " in text or "+" in text.strip("-"):
-                text = f"({text})"
             if mono:
                 if text == "1":
                     text = mono
                 elif text == "-1":
                     text = f"-{mono}"
+                elif " " in text or "+" in text.strip("-"):
+                    text = f"({text})*{mono}"
                 else:
                     text = f"{text}*{mono}"
             parts.append(text)

@@ -12,18 +12,19 @@ Grammar (whitespace insensitive)::
              | ('x0' | 'x1')+                  word
     rational:= ['-'] int ['/' int]
 
-Calls: sh (shuffle-type product), st (quasi-shuffle), msh (raw engine
-mixable shuffle, first argument is the weight), I (first-entry shift), I0
-(x0 prepend), Px (tensor nesting), eta (word to composition), f (tensor to
-word sum), phi (tensor to composition).  Kinds are checked at parse time;
+The calls are the rows of ``_CALLS``, one per accepted (name, argument
+kinds) signature, each holding the function that computes it: sh, st and
+msh (the mixable shuffle at the weight given first), the operators I, I0
+and Px, and the maps eta, f and phi.  Kinds are checked at parse time;
 ``*`` multiplies a term by a rational only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import compositions as comp
@@ -60,21 +61,21 @@ class Node:
 class Literal(Node):
     kind: str
     payload: object
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Call(Node):
     name: str
     args: tuple[Node, ...]
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class ScalarMul(Node):
     scalar: Fraction
     operand: Node
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -82,28 +83,57 @@ class BinOp(Node):
     op: str  # '+' or '-'
     left: Node
     right: Node
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 def same_structure(a: Node, b: Node) -> bool:
-    """Structural equality ignoring source positions."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Literal):
-        return a.kind == b.kind and a.payload == b.payload
-    if isinstance(a, Call):
-        return a.name == b.name and len(a.args) == len(b.args) and all(
-            same_structure(x, y) for x, y in zip(a.args, b.args)
-        )
-    if isinstance(a, ScalarMul):
-        return a.scalar == b.scalar and same_structure(a.operand, b.operand)
-    if isinstance(a, BinOp):
-        return a.op == b.op and same_structure(a.left, b.left) and same_structure(a.right, b.right)
-    return False
+    """Structural equality ignoring source positions (node ``==`` skips them)."""
+    return a == b
 
 
-# call name -> (argument kinds template, result kind resolver)
-_ALGEBRA_KINDS = (WORD, COMPOSITION, BICOMPOSITION, TENSOR)
+def _weighted_words(u: words.Word, v: words.Word, weight) -> LinComb:
+    return mixable_shuffle(u.letters, v.letters, weight).map_basis(words.Word)
+
+
+def _weighted_compositions(u: comp.Composition, v: comp.Composition, weight) -> LinComb:
+    return mixable_shuffle(u.entries, v.entries, weight, comp._add_entries).map_basis(comp.Composition)
+
+
+# (call, argument kinds) -> function on basis elements, extended bilinearly
+# (a leading scalar is msh's weight) or linearly.  The values are the
+# functions themselves, which bench/spans.py rebinds to trace them.  A call
+# returns the kind of its last argument unless _RESULT says otherwise.
+_CALLS: dict[tuple[str, ...], Callable] = {
+    ("sh", WORD, WORD): words.shuffle,
+    ("sh", COMPOSITION, COMPOSITION): comp.shuffle,
+    ("sh", TENSOR, TENSOR): frba.product,
+    ("st", COMPOSITION, COMPOSITION): comp.stuffle,
+    ("st", BICOMPOSITION, BICOMPOSITION): comp.bistuffle,
+    ("msh", SCALAR, WORD, WORD): _weighted_words,
+    ("msh", SCALAR, COMPOSITION, COMPOSITION): _weighted_compositions,
+    ("msh", SCALAR, BICOMPOSITION, BICOMPOSITION): comp._column_shuffle,
+    ("I", COMPOSITION): comp.raise_first,
+    ("I0", WORD): words.prepend_x0,
+    ("Px", TENSOR): frba.nest,
+    ("eta", WORD): words.to_composition,
+    ("f", TENSOR): frba.to_word_sum,
+    ("phi", TENSOR): frba.to_composition,
+}
+
+_RESULT = {"eta": COMPOSITION, "f": WORD, "phi": COMPOSITION}
+
+_CALL_NAMES = {key[0] for key in _CALLS}
+
+
+def _signature(name: str, kinds: tuple[str, ...]) -> tuple[Callable, str]:
+    """(function, result kind) of a call on arguments of these kinds."""
+    fn = _CALLS.get((name, *kinds))
+    if fn is None:
+        accepted = ", ".join(f"({', '.join(key[1:])})" for key in _CALLS if key[0] == name)
+        if not accepted:
+            raise KindError(f"unknown function {name!r}")
+        raise KindError(f"{name} is not defined on ({', '.join(kinds)}); it accepts {accepted}")
+    return fn, _RESULT.get(name, kinds[-1])
 
 
 def node_kind(node: Node) -> str:
@@ -118,64 +148,9 @@ def node_kind(node: Node) -> str:
             raise KindError(f"cannot combine {left} and {right} with '{node.op}'")
         return left
     if isinstance(node, Call):
-        return _call_kind(node)
+        return _signature(node.name, tuple(node_kind(a) for a in node.args))[1]
     raise KindError(f"unknown node {node!r}")
 
-
-def _call_kind(node: Call) -> str:
-    name = node.name
-    kinds = [node_kind(a) for a in node.args]
-
-    def need(n: int):
-        if len(kinds) != n:
-            raise KindError(f"{name} takes {n} argument(s), got {len(kinds)}")
-
-    if name in ("sh", "st"):
-        need(2)
-        if kinds[0] != kinds[1]:
-            raise KindError(f"{name} needs matching kinds, got {kinds[0]} and {kinds[1]}")
-        allowed = (WORD, COMPOSITION, TENSOR) if name == "sh" else (COMPOSITION, BICOMPOSITION)
-        if kinds[0] not in allowed:
-            raise KindError(f"{name} is not defined on {kinds[0]} operands")
-        return kinds[0]
-    if name == "msh":
-        need(3)
-        if kinds[0] != SCALAR:
-            raise KindError("msh needs a scalar weight as its first argument")
-        if kinds[1] != kinds[2]:
-            raise KindError(f"msh needs matching kinds, got {kinds[1]} and {kinds[2]}")
-        if kinds[1] not in (WORD, COMPOSITION, BICOMPOSITION):
-            raise KindError(f"msh is not defined on {kinds[1]} operands")
-        return kinds[1]
-    if name == "I":
-        need(1)
-        if kinds[0] != COMPOSITION:
-            raise KindError("I acts on compositions")
-        return COMPOSITION
-    if name == "I0":
-        need(1)
-        if kinds[0] != WORD:
-            raise KindError("I0 acts on words")
-        return WORD
-    if name == "Px":
-        need(1)
-        if kinds[0] != TENSOR:
-            raise KindError("Px acts on tensors")
-        return TENSOR
-    if name == "eta":
-        need(1)
-        if kinds[0] != WORD:
-            raise KindError("eta acts on words")
-        return COMPOSITION
-    if name in ("f", "phi"):
-        need(1)
-        if kinds[0] != TENSOR:
-            raise KindError(f"{name} acts on tensors")
-        return WORD if name == "f" else COMPOSITION
-    raise KindError(f"unknown function {name!r}")
-
-
-_CALL_NAMES = {"sh", "st", "msh", "I", "I0", "Px", "eta", "f", "phi"}
 
 _WORD_RE = re.compile(r"^(x[01])+$")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -336,8 +311,6 @@ def _parse_tensor(toks: _Tokens) -> Node:
 def to_text(node: Node) -> str:
     """Canonical text form; parse(to_text(n)) is structurally n."""
     if isinstance(node, Literal):
-        if node.kind == SCALAR:
-            return str(node.payload)
         return str(node.payload)
     if isinstance(node, ScalarMul):
         return f"{node.scalar}*{to_text(node.operand)}"
@@ -367,72 +340,35 @@ class Value:
 
 def evaluate(node: Node) -> Value:
     """Evaluate a parsed expression to a tagged linear combination."""
-    kind = node_kind(node)
+    node_kind(node)  # kinds are checked once, over the whole tree
+    return _evaluate(node)
+
+
+def _evaluate(node: Node) -> Value:
     if isinstance(node, Literal):
-        if kind == SCALAR:
+        if node.kind == SCALAR:
             return Value(SCALAR, scalar=node.payload)
-        return Value(kind, combo=LinComb.single(node.payload))
+        return Value(node.kind, combo=LinComb.single(node.payload))
     if isinstance(node, ScalarMul):
-        inner = evaluate(node.operand)
+        inner = _evaluate(node.operand)
         if inner.kind == SCALAR:
             return Value(SCALAR, scalar=inner.scalar * node.scalar)
         return Value(inner.kind, combo=inner.combo.scale(node.scalar))
     if isinstance(node, BinOp):
-        left, right = evaluate(node.left), evaluate(node.right)
+        left, right = _evaluate(node.left), _evaluate(node.right)
         sign = 1 if node.op == "+" else -1
-        if kind == SCALAR:
+        if left.kind == SCALAR:
             return Value(SCALAR, scalar=left.scalar + sign * right.scalar)
-        return Value(kind, combo=left.combo.combine(right.combo, sign))
-    assert isinstance(node, Call)
-    return _eval_call(node, kind)
+        return Value(left.kind, combo=left.combo.combine(right.combo, sign))
+    args = [_evaluate(a) for a in node.args]
+    fn, kind = _signature(node.name, tuple(a.kind for a in args))
+    if len(args) == 1:
+        return Value(kind, combo=args[0].combo.map_linear(lambda b: _as_sum(fn(b))))
+    *weight, left, right = args
+    if weight:
+        fn = partial(fn, weight=weight[0].scalar)
+    return Value(kind, combo=bilinear(fn, left.combo, right.combo))
 
 
-_PRODUCTS: dict[tuple[str, str], Callable] = {
-    ("sh", WORD): words.shuffle,
-    ("sh", COMPOSITION): comp.shuffle,
-    ("sh", TENSOR): frba.product,
-    ("st", COMPOSITION): comp.stuffle,
-    ("st", BICOMPOSITION): comp.bistuffle,
-}
-
-_UNARY: dict[str, Callable] = {
-    "I": comp.raise_first,
-    "I0": words.prepend_x0,
-    "Px": frba.nest,
-    "eta": words.to_composition,
-    "phi": frba.to_composition,
-}
-
-
-def _eval_call(node: Call, kind: str) -> Value:
-    name = node.name
-    if name in ("sh", "st"):
-        left, right = evaluate(node.args[0]), evaluate(node.args[1])
-        product = _PRODUCTS[(name, left.kind)]
-        return Value(kind, combo=bilinear(product, left.combo, right.combo))
-    if name == "msh":
-        weight = evaluate(node.args[0]).scalar
-        left, right = evaluate(node.args[1]), evaluate(node.args[2])
-        return Value(kind, combo=_mixable_on_kind(left.kind, weight, left.combo, right.combo))
-    if name == "f":
-        inner = evaluate(node.args[0])
-        return Value(WORD, combo=inner.combo.map_linear(frba.to_word_sum))
-    op = _UNARY[name]
-    inner = evaluate(node.args[0])
-    return Value(kind, combo=inner.combo.map_basis(op))
-
-
-def _mixable_on_kind(kind: str, weight: Fraction, a: LinComb, b: LinComb) -> LinComb:
-    if kind == WORD:
-        def product(u, v):
-            return mixable_shuffle(u.letters, v.letters, weight).map_basis(words.Word)
-    elif kind == COMPOSITION:
-        def product(u, v):
-            return mixable_shuffle(u.entries, v.entries, weight, comp._add_entries).map_basis(
-                comp.Composition
-            )
-    else:
-        def product(u, v):
-            return comp._column_shuffle(u, v, weight)
-
-    return bilinear(product, a, b)
+def _as_sum(image) -> LinComb:
+    return image if isinstance(image, LinComb) else LinComb.single(image)

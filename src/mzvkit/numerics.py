@@ -55,8 +55,8 @@ class PrecisionContext:
             raise DomainError("working precision must be >= 15 digits")
         if self.budget < 1_000:
             raise DomainError("summation budget must be >= 1000")
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 DEFAULT_CTX = PrecisionContext()

@@ -434,25 +434,3 @@ def reg_poly_to_json(p: TPoly) -> str:
         for deg, expr in sorted(p.items())
     }
     return json.dumps(data, indent=2)
-
-
-def reg_poly_str(p: TPoly) -> str:
-    """Human form, highest degree first, e.g. ``ζ(2)*T - 2*ζ(2,1)``."""
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for deg in sorted((d for d, _ in p.items()), reverse=True):
-        expr = p.coeff(deg)
-        mono = "" if deg == 0 else ("T" if deg == 1 else f"T^{deg}")
-        text = str(expr)
-        if mono:
-            if len(expr) > 1:
-                text = f"({text})*{mono}"
-            elif text == "1":
-                text = mono
-            elif text == "-1":
-                text = f"-{mono}"
-            else:
-                text = f"{text}*{mono}"
-        parts.append(text)
-    return " + ".join(parts).replace("+ -", "- ")

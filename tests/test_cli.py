@@ -69,6 +69,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "li", "[1]", "0.99999", "--budget", "1000", "--tol", "1e-12")
         assert code == 3 and "precision" in err.lower()
 
+    @pytest.mark.parametrize("argv", [["zeta", "3"], ["li", "[1]", "0.5"]])
+    def test_infinite_tolerance_is_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--tol", "inf")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
+    def test_out_into_missing_directory_is_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "eval", "sh([1],[2])", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and not target.exists()
+
 
 class TestRelationCommands:
     def test_eds_weight_3_csv(self, capsys):
@@ -114,6 +126,11 @@ class TestNumericCommands:
         code, out, _ = run(capsys, "zeta", "3")
         assert code == 0
         assert out.startswith("1.2020569032 ±")
+
+    def test_zeta_bound_past_float_range(self, capsys):
+        code, out, _ = run(capsys, "zeta", "3", "--digits", "400")
+        assert code == 0
+        assert out.strip() == "1.2020569032 ± 1e-400"
 
     def test_zeta_nonpositive_exact(self, capsys):
         code, out, _ = run(capsys, "zeta", "--", "-1")

@@ -6,6 +6,7 @@ import pytest
 from mzvkit.compositions import BiComposition, Composition
 from mzvkit.core import DomainError, LinComb
 from mzvkit.expressions import (
+    _CALLS,
     BICOMPOSITION,
     COMPOSITION,
     SCALAR,
@@ -68,6 +69,10 @@ class TestParse:
         b = parse("sh([1],[2])")
         assert same_structure(a, b)
 
+    def test_node_equality_ignores_positions(self):
+        assert parse("sh( [1] ,[ 2 ] )") == parse("sh([1],[2])")
+        assert parse(" [1] + [2]") != parse("[1] - [2]")
+
     def test_syntax_error_position(self):
         with pytest.raises(ExprSyntaxError) as err:
             parse("x0x1]")
@@ -84,6 +89,54 @@ class TestParse:
                      "msh(x1; [1], [1])", "[1] + x1"):
             with pytest.raises(KindError):
                 parse(text)
+
+
+_SAMPLE = {
+    SCALAR: Fraction(0),
+    WORD: Word((0, 1)),
+    COMPOSITION: C(1, 2),
+    BICOMPOSITION: BiComposition.make([2, 1], [0, 1]),
+    TENSOR: TensorWord((1, 1)),
+}
+
+# the calls that map one model of the free algebra into another
+_CHANGES_KIND = {"eta": COMPOSITION, "f": WORD, "phi": COMPOSITION}
+
+
+class TestSignatureTable:
+    def test_rows(self):
+        assert len(_CALLS) == 14
+        assert {key[0] for key in _CALLS} == {"sh", "st", "msh", "I", "I0", "Px", "eta", "f", "phi"}
+
+    @pytest.mark.parametrize("key", list(_CALLS), ids=lambda key: "-".join(key))
+    def test_each_signature_kind_checks_and_evaluates(self, key):
+        name, *kinds = key
+        node = Call(name, tuple(Literal(kind, _SAMPLE[kind]) for kind in kinds))
+        expected = _CHANGES_KIND.get(name, kinds[-1])
+        assert node_kind(node) == expected
+        value = evaluate(node)
+        assert value.kind == expected and value.combo
+
+    def test_wrong_arity_names_accepted_kinds(self):
+        with pytest.raises(KindError) as err:
+            parse("sh([1])")
+        message = str(err.value)
+        assert "sh" in message and "(composition)" in message
+        for accepted in ("(word, word)", "(composition, composition)", "(tensor, tensor)"):
+            assert accepted in message
+
+    def test_wrong_kind_names_accepted_kinds(self):
+        with pytest.raises(KindError) as err:
+            parse("I(x1)")
+        assert "I is not defined on (word)" in str(err.value)
+        assert "accepts (composition)" in str(err.value)
+        with pytest.raises(KindError) as err:
+            parse("msh(x1; [1], [1])")
+        assert "(scalar, composition, composition)" in str(err.value)
+
+    def test_unknown_call_built_by_hand(self):
+        with pytest.raises(KindError, match="unknown function"):
+            node_kind(Call("zz", (Literal(COMPOSITION, C(1)),)))
 
 
 class TestEvaluate:

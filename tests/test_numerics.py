@@ -52,6 +52,10 @@ class TestPrecisionContext:
         with pytest.raises(DomainError):
             PrecisionContext(tolerance=0.0)
 
+    def test_tolerance_must_be_finite(self):
+        with pytest.raises(DomainError):
+            PrecisionContext(tolerance=float("inf"))
+
 
 class TestZetaPos:
     def test_against_closed_forms(self):
