@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -96,7 +97,7 @@ def _cmd_eval(args) -> int:
     if args.format == "text":
         _emit(args, str(value))
     elif args.format == "json":
-        _emit(args, json.dumps(_value_json(value), indent=2))
+        _emit(args, reg.to_json(_value_json(value)))
     else:
         _emit(args, _value_csv(value))
     return 0
@@ -122,6 +123,8 @@ def _cmd_rank(args) -> int:
     rank, bound = reg.relation_rank(args.weight)
     if args.format == "json":
         _emit(args, json.dumps({"weight": args.weight, "rank": rank, "dimension_bound": bound}))
+    elif args.format == "csv":
+        _emit(args, f"weight,rank,dimension_bound\n{args.weight},{rank},{bound}\n")
     else:
         _emit(args, f"weight {args.weight}: relation rank {rank}, dimension bound {bound}")
     return 0
@@ -290,7 +293,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`mzvkit ... | head`); as in the
+        # "Note on SIGPIPE" of the signal docs, point stdout at devnull so
+        # the flush at interpreter exit cannot fail again, and say nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

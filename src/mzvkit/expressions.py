@@ -196,7 +196,11 @@ class _Tokens:
         num = self.take_int()
         if self.peek() == "/":
             self.pos += 1
+            self.skip_ws()
+            pos = self.pos
             den = self.take_int()
+            if den == 0:
+                raise ExprSyntaxError("zero denominator", pos)
             return Fraction(num, den)
         return Fraction(num)
 

@@ -10,16 +10,17 @@ symbolically; identity checks happen numerically downstream.  Coefficients
 are ``int`` unless the peeling divides them by a leading-ones count.
 
 Relation generators emit the double shuffle and extended double shuffle
-sets in a deterministic order, and an exact rank routine turns them into
-upper bounds for the weight-graded dimension.
+sets in a deterministic order, from one cached table per weight, and an
+exact rank routine turns them into upper bounds for the weight-graded
+dimension.  The CSV and JSON exports close the module.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .compositions import (
@@ -230,15 +231,13 @@ class Relation:
 
 
 def double_shuffle_relations(weight: int) -> list[Relation]:
-    """Shuffle-minus-stuffle differences over convergent pairs of the weight."""
-    if weight < 2:
-        raise DomainError("relations start at weight 2")
-    out: list[Relation] = []
-    for w1, w2 in _convergent_pairs(weight):
-        diff = shuffle(w1, w2) - stuffle(w1, w2)
-        if diff:
-            out.append(Relation(diff, weight, (w1, w2)))
-    return out
+    """Shuffle-minus-stuffle differences over convergent pairs of the weight.
+
+    A fresh list of the leading part of the cached weight table (see
+    :func:`extended_double_shuffle_relations`).
+    """
+    table, count = _relation_table(weight)
+    return list(table[:count])
 
 
 def extended_double_shuffle_relations(weight: int) -> list[Relation]:
@@ -247,14 +246,29 @@ def extended_double_shuffle_relations(weight: int) -> list[Relation]:
     The extra generators pair [1] against every convergent composition one
     weight down; the lone non-convergent term [1, w2] appears with
     coefficient one in both products, so the difference stays convergent.
+    The table of a weight is built once and cached; each call returns a
+    fresh list of the same (immutable) relations.
     """
-    out = double_shuffle_relations(weight)
+    return list(_relation_table(weight)[0])
+
+
+@lru_cache(maxsize=16)
+def _relation_table(weight: int) -> tuple[tuple[Relation, ...], int]:
+    """(double shuffle relations then the [1]-pairings, count of the former)."""
+    if weight < 2:
+        raise DomainError("relations start at weight 2")
+    out: list[Relation] = []
+    for w1, w2 in _convergent_pairs(weight):
+        diff = shuffle(w1, w2) - stuffle(w1, w2)
+        if diff:
+            out.append(Relation(diff, weight, (w1, w2)))
+    count = len(out)
     z1 = ones(1)
     for w2 in convergent_compositions(weight - 1):
         diff = shuffle(z1, w2) - stuffle(z1, w2)
         if diff:
             out.append(Relation(diff, weight, (z1, w2)))
-    return out
+    return tuple(out), count
 
 
 def _convergent_pairs(weight: int) -> Iterator[tuple[Composition, Composition]]:
@@ -396,12 +410,73 @@ def fraction_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+def to_json(data) -> str:
+    """``json.dumps(data, indent=2)``, written directly.
+
+    Accepts lists, dicts with ``str`` keys, ``int`` and ``str``, nested in
+    any way, and raises ``TypeError`` on anything else (``bool``, ``float``,
+    ``None`` and tuples included).  The text is byte-identical to the
+    standard encoder's for these shapes: strings are escaped by
+    ``json.encoder.encode_basestring_ascii``.  With ``indent`` set,
+    ``json.dumps`` falls back to its pure-Python encoder, which dominates
+    the relation exports.
+    """
+    parts: list[str] = []
+    _write_json(data, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, out) -> None:
+    kind = type(value)
+    if kind is str:
+        out(encode_basestring_ascii(value))
+    elif kind is int:
+        out(int.__repr__(value))
+    elif kind is list:
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            out("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif kind is dict:
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def relations_to_csv(relations: Iterable[Relation]) -> str:
     lines = ["weight,source_pair,term_composition,coefficient"]
+    names: dict[Composition, str] = {}
+
+    def name(s: Composition) -> str:
+        text = names.get(s)
+        if text is None:
+            text = names[s] = str(s)
+        return text
+
     for rel in relations:
-        pair = f"{rel.source[0]};{rel.source[1]}"
+        prefix = f"{rel.weight},{name(rel.source[0])};{name(rel.source[1])},"
         for term, coeff in rel.terms.sorted_items():
-            lines.append(f"{rel.weight},{pair},{term},{fraction_str(coeff)}")
+            lines.append(f"{prefix}{name(term)},{fraction_str(coeff)}")
     return "\n".join(lines) + "\n"
 
 
@@ -417,7 +492,7 @@ def relations_to_json(relations: Iterable[Relation]) -> str:
         }
         for rel in relations
     ]
-    return json.dumps(data, indent=2)
+    return to_json(data)
 
 
 def reg_poly_to_json(p: TPoly) -> str:
@@ -433,4 +508,4 @@ def reg_poly_to_json(p: TPoly) -> str:
         }
         for deg, expr in sorted(p.items())
     }
-    return json.dumps(data, indent=2)
+    return to_json(data)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mzvkit.cli import main
+import mzvkit
+from mzvkit import expressions as expr
+from mzvkit.cli import _value_json, main
 
 
 def run(capsys, *argv):
@@ -31,6 +37,19 @@ class TestEval:
         lines = out.strip().split("\n")
         assert lines[0] == "term,coefficient"
         assert '"[2]",1/1' in lines and '"[1,1]",2/1' in lines
+
+    @pytest.mark.parametrize("text", [
+        "x0x1", "sh(x0x1, x1)", "x0 - x0",
+        "[1,2]", "st([2,1],[1])", "msh(1/2; [1,2], [3])", "[1]-[1]",
+        "[2,1 | 1/2,0]", "st([1 | 1/3], [2 | 0])", "[3 | 0]-[3 | 0]",
+        "(1,2)", "sh((1,0,2),(2,1))", "(1,2)-(1,2)",
+        "3/4", "0",
+    ])
+    def test_json_matches_standard_encoder(self, capsys, text):
+        value = expr.evaluate(expr.parse(text))
+        code, out, _ = run(capsys, "eval", text, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(_value_json(value), indent=2) + "\n"
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "eval", "sh([1,1],[2,1])")
@@ -75,6 +94,27 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("text, offset", [
+        ("1/0", 2), ("[1 | 1/0]", 7), ("msh(1/0; [1], [1])", 6),
+    ])
+    def test_zero_denominator_is_2(self, capsys, text, offset):
+        code, out, err = run(capsys, "eval", text)
+        assert code == 2 and out == ""
+        assert err.startswith("syntax error:") and f"offset {offset}" in err
+
+    def test_closed_stdout_is_quiet(self):
+        # `mzvkit eds --weight 9 --format json | head -1`: the reader leaves
+        # after one line, long before the 300 kB of output are written
+        env = {**os.environ, "PYTHONPATH": str(Path(mzvkit.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mzvkit.cli", "eds", "--weight", "9", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1 and err == b""
+
     def test_out_into_missing_directory_is_1(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"
         code, out, err = run(capsys, "eval", "sh([1],[2])", "--out", str(target))
@@ -102,6 +142,11 @@ class TestRelationCommands:
         assert code == 0
         blob = json.loads(out)
         assert blob == {"weight": 4, "rank": 3, "dimension_bound": 1}
+
+    def test_rank_csv(self, capsys):
+        code, out, _ = run(capsys, "rank", "--weight", "4", "--format", "csv")
+        assert code == 0
+        assert out.strip().split("\n") == ["weight,rank,dimension_bound", "4,3,1"]
 
 
 class TestRegularizeCommands:

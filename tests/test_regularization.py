@@ -26,12 +26,15 @@ from mzvkit.regularization import (
     extended_double_shuffle_relations,
     fraction_str,
     leading_ones_decomposition,
+    _relation_table,
     reg_poly_to_json,
     relation_rank,
     relations_to_csv,
+    relations_to_json,
     rho_apply,
     shuffle_regularize,
     stuffle_regularize,
+    to_json,
 )
 from mzvkit.verification import regularization_checks
 
@@ -223,6 +226,37 @@ class TestRelations:
             Relation(LinComb({C(2): 1, C(2, 1): 1}), 3, (C(1), C(2)))
 
 
+class TestRelationTable:
+    def test_returned_list_is_fresh(self):
+        first = extended_double_shuffle_relations(5)
+        first.append(first[0])
+        dsh = double_shuffle_relations(5)
+        dsh.clear()
+        assert len(extended_double_shuffle_relations(5)) == len(first) - 1
+        assert double_shuffle_relations(5)
+
+    @pytest.mark.parametrize("weight", range(2, 9))
+    def test_double_shuffle_is_prefix(self, weight):
+        dsh = double_shuffle_relations(weight)
+        eds = extended_double_shuffle_relations(weight)
+        assert eds[:len(dsh)] == dsh
+        assert all(rel.source[0] == C(1) for rel in eds[len(dsh):])
+        assert not any(rel.source[0] == C(1) for rel in dsh)
+
+    def test_rebuilt_after_cache_clear(self):
+        before = extended_double_shuffle_relations(7)
+        split = len(double_shuffle_relations(7))
+        _relation_table.cache_clear()
+        after = extended_double_shuffle_relations(7)
+        assert after == before and after[0] is not before[0]
+        assert len(double_shuffle_relations(7)) == split
+
+    def test_weight_below_2_not_cached(self):
+        for fn in (double_shuffle_relations, extended_double_shuffle_relations):
+            with pytest.raises(DomainError):
+                fn(1)
+
+
 class TestRelationRank:
     def test_weight_2(self):
         assert relation_rank(2) == (0, 1)
@@ -317,6 +351,80 @@ class TestExchangeDiagram:
         ctx = PrecisionContext(digits=20, budget=200_000, tolerance=1e-10)
         results = regularization_checks(ctx=ctx, max_weight=6, exact_tol=1e-10, mzv_tol=1e-10)
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+
+def _reference_relations_csv(relations):
+    # the loop the export used before the composition strings were memoised
+    lines = ["weight,source_pair,term_composition,coefficient"]
+    for rel in relations:
+        pair = f"{rel.source[0]};{rel.source[1]}"
+        for term, coeff in rel.terms.sorted_items():
+            lines.append(f"{rel.weight},{pair},{term},{fraction_str(coeff)}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_relations_json(relations):
+    data = [
+        {
+            "weight": rel.weight,
+            "source_pair": [list(rel.source[0].entries), list(rel.source[1].entries)],
+            "terms": [
+                {"composition": list(term.entries), "coeff": fraction_str(coeff)}
+                for term, coeff in rel.terms.sorted_items()
+            ],
+        }
+        for rel in relations
+    ]
+    return json.dumps(data, indent=2)
+
+
+def _reference_reg_poly_json(p):
+    data = {
+        f"T^{deg}": {
+            "monomials": [
+                {"symbols": [list(sym.index.entries) for sym in mono], "coeff": fraction_str(coeff)}
+                for mono, coeff in expr.sorted_monomials()
+            ]
+        }
+        for deg, expr in sorted(p.items())
+    }
+    return json.dumps(data, indent=2)
+
+
+def _assert_same_text(got, want):
+    # report the first difference; pytest's own diff of two 300 kB texts takes minutes
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"texts differ at offset {at}: {got[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
+class TestExportReference:
+    @pytest.mark.parametrize("weight", range(2, 11))
+    @pytest.mark.parametrize("generate", [double_shuffle_relations, extended_double_shuffle_relations])
+    def test_relations(self, generate, weight):
+        rels = generate(weight)
+        _assert_same_text(relations_to_csv(rels), _reference_relations_csv(rels))
+        _assert_same_text(relations_to_json(rels), _reference_relations_json(rels))
+
+    @pytest.mark.parametrize("regularize", [shuffle_regularize, stuffle_regularize])
+    def test_reg_poly(self, regularize):
+        for weight in range(1, 7):
+            for s in positive_compositions(weight):
+                p = regularize(s)
+                assert reg_poly_to_json(p) == _reference_reg_poly_json(p), s
+
+    @pytest.mark.parametrize("data", [
+        [], {}, 0, -12, "", "ζ(2) \"q\"\\\n\t\x01", [[], {}, [1, [2, []]]],
+        {"a": [], "b": {}, "c": {"d": [1, -2, "x"]}}, [{"k": 10**30}, "s", [3]],
+    ])
+    def test_to_json_matches_standard_encoder(self, data):
+        assert to_json(data) == json.dumps(data, indent=2)
+
+    @pytest.mark.parametrize("data", [1.5, True, None, (1, 2), [1, False], {1: "a"}, {"a": Fraction(1, 2)}])
+    def test_to_json_rejects_other_shapes(self, data):
+        with pytest.raises(TypeError):
+            to_json(data)
 
 
 class TestExports:
