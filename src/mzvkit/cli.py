@@ -58,11 +58,14 @@ def _add_output_flags(parser):
 
 
 def _emit(args, text: str) -> None:
+    """Write text to --out or stdout, ending in exactly the one newline it needs."""
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _value_json(value: expr.Value) -> dict:

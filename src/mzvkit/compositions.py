@@ -29,12 +29,12 @@ class Composition:
     def __post_init__(self):
         if not self.entries:
             raise DomainError("compositions are nonempty")
-        if any(e < 0 for e in self.entries):
+        if min(self.entries) < 0:
             raise DomainError(f"composition entries must be >= 0: {self.entries}")
 
     @property
     def is_positive(self) -> bool:
-        return all(e >= 1 for e in self.entries)
+        return min(self.entries) >= 1
 
     @property
     def is_convergent(self) -> bool:

@@ -16,6 +16,7 @@ safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import isqrt, lcm
 from operator import add, mul
 from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, TypeVar
@@ -197,7 +198,20 @@ class LinComb(Sparse, Generic[B]):
 
     def map_basis(self, f: Callable[[B], B]) -> "LinComb[B]":
         """Push the sum through a basis map, collecting collisions."""
-        return LinComb((f(b), c) for b, c in self._terms.items())
+        terms = self._terms
+        keys = list(map(f, terms))
+        acc = dict(zip(keys, terms.values()))
+        if len(acc) == len(terms):  # no collision: the coefficients stand as they are
+            return LinComb._new(acc)
+        acc = {}
+        for key, c in zip(keys, terms.values()):
+            if key in acc:
+                c = acc[key] + c
+            if c:
+                acc[key] = c
+            else:
+                acc.pop(key, None)
+        return LinComb._new(acc)
 
     def map_linear(self, f: Callable[[B], "LinComb"]) -> "LinComb":
         """Extend a basis-to-sum map linearly over self."""
@@ -410,7 +424,9 @@ def matrix_rank(rows: Iterable[Iterable]) -> int:
 
 def _integer_row(row: list) -> dict[int, int]:
     """The row as sparse ``{column: int}``, scaled by the lcm of its denominators."""
-    entries = {j: _exact(x) for j, x in enumerate(row) if x}
+    entries = {j: _exact(row[j]) for j in compress(range(len(row)), row)}
+    if all(type(x) is int for x in entries.values()):
+        return entries
     den = lcm(*(x.denominator for x in entries.values()))
     return {j: x.numerator * (den // x.denominator) for j, x in entries.items() if x}
 

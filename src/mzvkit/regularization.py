@@ -222,8 +222,9 @@ class Relation:
     def __post_init__(self):
         if not self.terms:
             raise DomainError("relations are nonzero")
-        for basis, _ in self.terms.items():
-            if basis.weight != self.weight or not basis.is_positive:
+        for basis in self.terms.support():
+            entries = basis.entries
+            if sum(entries) != self.weight or min(entries) < 1:
                 raise DomainError(f"relation not weight-{self.weight} homogeneous: {basis}")
 
     def __str__(self) -> str:
@@ -291,19 +292,36 @@ def relation_rank(weight: int) -> tuple[int, int]:
     computed modulo primes and certified by :func:`~mzvkit.core.matrix_rank`
     with an integer kernel K whose product with the relation matrix is
     checked to be zero, so the bound is the dimension of that kernel.
+
+    The matrix is ordered by depth, which leaves the rank alone but makes
+    the elimination cheap.  Every shuffle term of u and v has depth
+    d(u) + d(v) and no stuffle term is deeper, so a relation from a source
+    pair of total depth d has no term deeper than d.  With the columns
+    deepest first (canonical order inside a depth) and the rows by
+    decreasing source depth, the rows of depth d are zero left of the
+    depth-d columns: the matrix is block upper triangular by depth.
     """
-    basis = convergent_compositions(weight)
+    basis = sorted(convergent_compositions(weight), key=_deepest_first)
     index = {s: i for i, s in enumerate(basis)}
     rows = []
-    for rel in extended_double_shuffle_relations(weight):
+    for rel in sorted(extended_double_shuffle_relations(weight), key=_deepest_source_first):
         row = [0] * len(basis)
         for term, coeff in rel.terms.items():
-            if term not in index:
+            col = index.get(term)
+            if col is None:
                 raise AssertionError(f"relation escapes the convergent span: {term}")
-            row[index[term]] = coeff
+            row[col] = coeff
         rows.append(row)
     rank = matrix_rank(rows) if rows else 0
     return rank, len(basis) - rank
+
+
+def _deepest_first(s: Composition) -> int:
+    return -len(s.entries)
+
+
+def _deepest_source_first(rel: Relation) -> int:
+    return -len(rel.source[0].entries) - len(rel.source[1].entries)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +481,25 @@ def _write_json(value, newline: str, out) -> None:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
+def _sorted_terms(rel: Relation, texts: dict, render) -> list:
+    """The terms of ``rel`` in canonical order, as (``render(s)``, coefficient).
+
+    ``texts`` keeps the sort key and the text of each composition, by its
+    entries, for the length of one export, so each is made once per call.
+    """
+    pieces = []
+    for s, c in rel.terms.items():
+        piece = texts.get(s.entries)
+        if piece is None:
+            piece = texts[s.entries] = (s.sort_key(), render(s))
+        pieces.append((piece, c))
+    pieces.sort()  # the keys of one relation differ, so coefficients are never compared
+    return [(text, c) for (_, text), c in pieces]
+
+
 def relations_to_csv(relations: Iterable[Relation]) -> str:
     lines = ["weight,source_pair,term_composition,coefficient"]
+    texts: dict = {}
     names: dict[Composition, str] = {}
 
     def name(s: Composition) -> str:
@@ -475,24 +510,54 @@ def relations_to_csv(relations: Iterable[Relation]) -> str:
 
     for rel in relations:
         prefix = f"{rel.weight},{name(rel.source[0])};{name(rel.source[1])},"
-        for term, coeff in rel.terms.sorted_items():
-            lines.append(f"{prefix}{name(term)},{fraction_str(coeff)}")
+        for text, coeff in _sorted_terms(rel, texts, str):
+            lines.append(f"{prefix}{text},{fraction_str(coeff)}")
     return "\n".join(lines) + "\n"
 
 
+def _entry_list(s: Composition, newline: str) -> str:
+    """``json.dumps(list(s.entries), indent=2)`` at the indent that ``newline`` ends in."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(str, s.entries)) + newline + "]"
+
+
 def relations_to_json(relations: Iterable[Relation]) -> str:
-    data = [
-        {
-            "weight": rel.weight,
-            "source_pair": [list(rel.source[0].entries), list(rel.source[1].entries)],
-            "terms": [
-                {"composition": list(term.entries), "coeff": fraction_str(coeff)}
-                for term, coeff in rel.terms.sorted_items()
-            ],
-        }
+    """``to_json`` of the relation records, written from cached fragments.
+
+    Each record is ``{"weight", "source_pair", "terms"}`` with compositions
+    as entry lists and coefficients as ``fraction_str`` strings.  The text of
+    a composition at each of its two indents, and of a coefficient, is made
+    once per call; the record skeleton around them is fixed.
+    """
+    texts: dict = {}
+    sources: dict[Composition, str] = {}
+    coeffs: dict = {}
+
+    def source(s: Composition) -> str:
+        text = sources.get(s)
+        if text is None:
+            text = sources[s] = _entry_list(s, "\n      ")
+        return text
+
+    def term_head(s: Composition) -> str:
+        return '{\n        "composition": ' + _entry_list(s, "\n        ") + ',\n        "coeff": '
+
+    def coeff(c) -> str:
+        text = coeffs.get(c)
+        if text is None:
+            text = coeffs[c] = encode_basestring_ascii(fraction_str(c)) + "\n      }"
+        return text
+
+    records = [
+        '{\n    "weight": ' + str(rel.weight)
+        + ',\n    "source_pair": [\n      ' + source(rel.source[0])
+        + ",\n      " + source(rel.source[1])
+        + '\n    ],\n    "terms": [\n      '
+        + ",\n      ".join([head + coeff(c) for head, c in _sorted_terms(rel, texts, term_head)])
+        + "\n    ]\n  }"
         for rel in relations
     ]
-    return to_json(data)
+    return "[\n  " + ",\n  ".join(records) + "\n]" if records else "[]"
 
 
 def reg_poly_to_json(p: TPoly) -> str:
