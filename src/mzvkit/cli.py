@@ -58,14 +58,16 @@ def _add_output_flags(parser):
 
 
 def _emit(args, text: str) -> None:
-    """Write text to --out or stdout, ending in exactly the one newline it needs."""
-    if not text.endswith("\n"):
-        text += "\n"
+    """Write text to --out or to stdout, with a newline added unless it ends in one."""
+    body = text[:-1] if text.endswith("\n") else text
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(body + "\n")
     else:
-        sys.stdout.write(text)
+        # print writes the newline on its own: when the reader of a pipe
+        # leaves, a large write returns short without an error, and only
+        # the write after it raises BrokenPipeError (at the flush in main)
+        print(body)
 
 
 def _value_json(value: expr.Value) -> dict:

@@ -198,13 +198,9 @@ class LinComb(Sparse, Generic[B]):
 
     def map_basis(self, f: Callable[[B], B]) -> "LinComb[B]":
         """Push the sum through a basis map, collecting collisions."""
-        terms = self._terms
-        keys = list(map(f, terms))
-        acc = dict(zip(keys, terms.values()))
-        if len(acc) == len(terms):  # no collision: the coefficients stand as they are
-            return LinComb._new(acc)
-        acc = {}
-        for key, c in zip(keys, terms.values()):
+        acc: dict = {}
+        for basis, c in self._terms.items():
+            key = f(basis)
             if key in acc:
                 c = acc[key] + c
             if c:

@@ -301,10 +301,11 @@ def relation_rank(weight: int) -> tuple[int, int]:
     decreasing source depth, the rows of depth d are zero left of the
     depth-d columns: the matrix is block upper triangular by depth.
     """
-    basis = sorted(convergent_compositions(weight), key=_deepest_first)
+    basis = sorted(convergent_compositions(weight), key=lambda s: -s.depth)
     index = {s: i for i, s in enumerate(basis)}
     rows = []
-    for rel in sorted(extended_double_shuffle_relations(weight), key=_deepest_source_first):
+    relations = extended_double_shuffle_relations(weight)
+    for rel in sorted(relations, key=lambda rel: -rel.source[0].depth - rel.source[1].depth):
         row = [0] * len(basis)
         for term, coeff in rel.terms.items():
             col = index.get(term)
@@ -314,14 +315,6 @@ def relation_rank(weight: int) -> tuple[int, int]:
         rows.append(row)
     rank = matrix_rank(rows) if rows else 0
     return rank, len(basis) - rank
-
-
-def _deepest_first(s: Composition) -> int:
-    return -len(s.entries)
-
-
-def _deepest_source_first(rel: Relation) -> int:
-    return -len(rel.source[0].entries) - len(rel.source[1].entries)
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +519,11 @@ def relations_to_json(relations: Iterable[Relation]) -> str:
 
     Each record is ``{"weight", "source_pair", "terms"}`` with compositions
     as entry lists and coefficients as ``fraction_str`` strings.  The text of
-    a composition at each of its two indents, and of a coefficient, is made
-    once per call; the record skeleton around them is fixed.
+    each term composition and of each coefficient is made once per call; the
+    record skeleton around them is fixed.
     """
     texts: dict = {}
-    sources: dict[Composition, str] = {}
     coeffs: dict = {}
-
-    def source(s: Composition) -> str:
-        text = sources.get(s)
-        if text is None:
-            text = sources[s] = _entry_list(s, "\n      ")
-        return text
 
     def term_head(s: Composition) -> str:
         return '{\n        "composition": ' + _entry_list(s, "\n        ") + ',\n        "coeff": '
@@ -550,8 +536,8 @@ def relations_to_json(relations: Iterable[Relation]) -> str:
 
     records = [
         '{\n    "weight": ' + str(rel.weight)
-        + ',\n    "source_pair": [\n      ' + source(rel.source[0])
-        + ",\n      " + source(rel.source[1])
+        + ',\n    "source_pair": [\n      ' + _entry_list(rel.source[0], "\n      ")
+        + ",\n      " + _entry_list(rel.source[1], "\n      ")
         + '\n    ],\n    "terms": [\n      '
         + ",\n      ".join([head + coeff(c) for head, c in _sorted_terms(rel, texts, term_head)])
         + "\n    ]\n  }"

@@ -241,3 +241,19 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text()
     assert "3,[1];[2],[2,1],1/1" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["eval", "sh([1],[2])"], ["eds", "--weight", "4"], ["dsh", "--weight", "4"],
+    ["zsh", "[1,2]"], ["zst", "[1,1,2]"], ["rank", "--weight", "5"],
+])
+def test_stdout_bytes_equal_out_file(tmp_path, capsysbinary, argv, fmt):
+    argv = argv + ["--format", fmt]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    target = tmp_path / "data"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert stdout == target.read_bytes()
+    assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n")

@@ -12,7 +12,7 @@ from mzvkit.compositions import (
     shuffle,
     stuffle,
 )
-from mzvkit.core import DomainError, LinComb, TPoly, bilinear
+from mzvkit.core import DomainError, LinComb, TPoly, bilinear, matrix_rank
 from mzvkit.numerics import PrecisionContext, eval_reg_poly, zeta_pos
 from mzvkit.regularization import (
     MZVSymbol,
@@ -26,6 +26,7 @@ from mzvkit.regularization import (
     extended_double_shuffle_relations,
     fraction_str,
     leading_ones_decomposition,
+    _convergent_pairs,
     _relation_table,
     reg_poly_to_json,
     relation_rank,
@@ -286,6 +287,36 @@ class TestRelationRank:
         assert relation_rank(11) == (503, 9)
 
 
+def _depth(pair):
+    return pair[0].depth + pair[1].depth
+
+
+class TestDepthOrder:
+    # relation_rank orders its matrix by depth; these are the facts that make
+    # the order block triangular, and the check that it leaves the rank alone
+
+    @pytest.mark.parametrize("weight", range(4, 11))
+    def test_shuffle_keeps_depth_and_stuffle_never_raises_it(self, weight):
+        for u, v in _convergent_pairs(weight):
+            assert {s.depth for s, _ in shuffle(u, v).items()} == {u.depth + v.depth}
+            assert max(s.depth for s, _ in stuffle(u, v).items()) == u.depth + v.depth
+
+    @pytest.mark.parametrize("weight", range(2, 11))
+    def test_no_relation_term_deeper_than_its_source(self, weight):
+        for rel in extended_double_shuffle_relations(weight):
+            assert max(s.depth for s, _ in rel.terms.items()) <= _depth(rel.source)
+
+    @pytest.mark.parametrize("weight", range(2, 11))
+    def test_rank_equals_rank_in_canonical_order(self, weight):
+        basis = convergent_compositions(weight)
+        rows = [
+            [rel.terms.coeff(s) for s in basis]
+            for rel in extended_double_shuffle_relations(weight)
+        ]
+        expected = matrix_rank(rows) if rows else 0
+        assert relation_rank(weight) == (expected, len(basis) - expected)
+
+
 class TestRhoMap:
     def test_gamma_values(self):
         rho = build_rho(4, CTX)
@@ -406,6 +437,13 @@ class TestExportReference:
         rels = generate(weight)
         _assert_same_text(relations_to_csv(rels), _reference_relations_csv(rels))
         _assert_same_text(relations_to_json(rels), _reference_relations_json(rels))
+
+    def test_relations_edge_cases(self):
+        assert relations_to_json([]) == json.dumps([], indent=2)
+        hand_built = Relation(LinComb({C(3): Fraction(-5, 2), C(2, 1): 3}), 3, (C(1), C(2)))
+        assert relations_to_json([hand_built]) == _reference_relations_json([hand_built])
+        rels = [hand_built] + extended_double_shuffle_relations(4)
+        assert relations_to_json(rels) == _reference_relations_json(rels)
 
     @pytest.mark.parametrize("regularize", [shuffle_regularize, stuffle_regularize])
     def test_reg_poly(self, regularize):
