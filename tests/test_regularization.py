@@ -287,10 +287,6 @@ class TestRelationRank:
         assert relation_rank(11) == (503, 9)
 
 
-def _depth(pair):
-    return pair[0].depth + pair[1].depth
-
-
 class TestDepthOrder:
     # relation_rank orders its matrix by depth; these are the facts that make
     # the order block triangular, and the check that it leaves the rank alone
@@ -304,7 +300,8 @@ class TestDepthOrder:
     @pytest.mark.parametrize("weight", range(2, 11))
     def test_no_relation_term_deeper_than_its_source(self, weight):
         for rel in extended_double_shuffle_relations(weight):
-            assert max(s.depth for s, _ in rel.terms.items()) <= _depth(rel.source)
+            u, v = rel.source
+            assert max(s.depth for s, _ in rel.terms.items()) <= u.depth + v.depth
 
     @pytest.mark.parametrize("weight", range(2, 11))
     def test_rank_equals_rank_in_canonical_order(self, weight):
