@@ -8,7 +8,6 @@ codes: 0 success, 1 domain error, 2 syntax error, 3 precision failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -221,7 +220,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzvkit",
@@ -294,9 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once at import, so repeated main() calls in one process share it
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()

@@ -1,15 +1,22 @@
 """Named verification suites: structure laws, isomorphisms, analytic identities.
 
 Each suite returns a list of :class:`CheckResult`; the command line prints
-one line per result and the acceptance tests assert them.  Randomized
-suites draw from fixed-seed generators so runs are reproducible, and the
-samplers cap the joint size of extended-shuffle inputs so that worst-case
-term explosions cannot stall a run (the covered region still spans the full
-entry/length ranges).
+one line per result and the acceptance tests assert them.  The structure and
+isomorphism laws are rows ``(name, draw, holds)`` of ``STRUCTURE_LAWS`` and
+``ISOMORPHISM_LAWS``: ``draw`` takes the suite's seeded generator and returns
+one case, and ``holds(*case)`` checks the law.  The one runner :func:`_law`
+checks a row on drawn or enumerated inputs (transport, universal evaluation,
+injectivity), fills ``{n}`` in the name with the input count, and names the
+first failing input.  Rows look their products up through the modules when
+called, so a patched product is what they check.  The samplers cap the joint
+size of extended-shuffle inputs so that worst-case term explosions cannot
+stall a run (the covered region still spans the full entry/length ranges).
+A suite asked for an empty range raises :class:`DomainError`.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass
@@ -21,7 +28,7 @@ from . import free_rba as frba
 from . import numerics as num
 from . import regularization as reg
 from . import words
-from .core import LinComb, TPoly, bilinear, matrix_rank
+from .core import DomainError, LinComb, TPoly, bilinear, matrix_rank
 from .numerics import PrecisionContext
 
 
@@ -42,20 +49,38 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
     return CheckResult(suite, name, bool(passed), detail)
 
 
+def _law(suite: str, name: str, holds, inputs: list) -> CheckResult:
+    """Check ``holds(*args)`` on each input; a failure names the first failing input."""
+    failing = next((args for args in inputs if not holds(*args)), None)
+    detail = "" if failing is None else "first failing input: " + ", ".join(map(str, failing))
+    return _result(suite, name.replace("{n}", str(len(inputs))), failing is None, detail)
+
+
+def _random_laws(suite: str, laws, cases: int, seed: int) -> list[CheckResult]:
+    """Each row in turn draws its ``cases`` inputs from the one seeded generator."""
+    rng = random.Random(seed)
+    return [_law(suite, name, holds, [draw(rng) for _ in range(cases)]) for name, draw, holds in laws]
+
+
+def _at_least_one(**sizes: int) -> None:
+    for option, value in sizes.items():
+        if value < 1:
+            raise DomainError(f"{option} must be at least 1 (got {value}); the check would be empty")
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
 
-def _random_composition(rng: random.Random, min_entry: int, max_entry: int, max_len: int) -> comp.Composition:
-    length = rng.randint(1, max_len)
-    return comp.Composition(tuple(rng.randint(min_entry, max_entry) for _ in range(length)))
-
-
-def _sample_nonneg(rng: random.Random, count: int, size_cap: int) -> list[comp.Composition]:
-    """Compositions with entries in [0,4], length <= 4, joint size capped."""
+def _compositions(rng: random.Random, count: int, low: int = 0,
+                  cap: float = math.inf, each: float = math.inf) -> list[comp.Composition]:
+    """Compositions with entries in [low,4] and length <= 4, redrawn until
+    their weight + depth is at most ``each`` apiece and ``cap`` in total."""
     while True:
-        sample = [_random_composition(rng, 0, 4, 4) for _ in range(count)]
-        if sum(s.weight + s.depth for s in sample) <= size_cap:
+        sample = [comp.Composition(tuple(rng.randint(low, 4) for _ in range(rng.randint(1, 4))))
+                  for _ in range(count)]
+        sizes = [s.weight + s.depth for s in sample]
+        if sum(sizes) <= cap and max(sizes) <= each:
             return sample
 
 
@@ -66,9 +91,7 @@ def _random_h1_word(rng: random.Random, max_degree: int) -> words.Word:
 
 
 def _random_tensor(rng: random.Random, max_degree: int) -> frba.TensorWord:
-    degree = rng.randint(1, max_degree)
-    basis = frba.graded_basis(degree)
-    return rng.choice(basis)
+    return rng.choice(frba.graded_basis(rng.randint(1, max_degree)))
 
 
 def _random_laurent(rng: random.Random) -> num.LaurentPoly:
@@ -77,6 +100,79 @@ def _random_laurent(rng: random.Random) -> num.LaurentPoly:
         if rng.random() < 0.5:
             terms[exp] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
     return num.LaurentPoly(terms)
+
+
+def _tensors(max_degree: int) -> list[tuple[frba.TensorWord]]:
+    return [(t,) for m in range(1, max_degree + 1) for t in frba.graded_basis(m)]
+
+
+# ---------------------------------------------------------------------------
+# laws
+
+
+def _commutes(mul, a, b) -> bool:
+    return mul(a, b) == mul(b, a)
+
+
+def _associates(mul, a, b, c) -> bool:
+    return bilinear(mul, mul(a, b), LinComb.single(c)) == bilinear(mul, LinComb.single(a), mul(b, c))
+
+
+def _rota_baxter(mul, op, a, b) -> bool:
+    """The weight-0 identity op(a)op(b) = op(a op(b)) + op(op(a) b)."""
+    return mul(op(a), op(b)) == mul(a, op(b)).map_basis(op) + mul(op(a), b).map_basis(op)
+
+
+def _pole_identity(f: num.LaurentPoly, g: num.LaurentPoly) -> bool:
+    """The weight -1 identity P(f)P(g) = P(f P(g)) + P(P(f) g) - P(fg)."""
+    pole = num.pole_part
+    return pole(f) * pole(g) == pole(f * pole(g)) + pole(pole(f) * g) - pole(f * g)
+
+
+STRUCTURE_LAWS = (
+    ("extended shuffle commutative ({n} cases)",
+     lambda rng: _compositions(rng, 2, cap=18),
+     lambda s, t: _commutes(comp.shuffle, s, t)),
+    ("extended shuffle associative ({n} cases)",
+     lambda rng: _compositions(rng, 3, cap=16),
+     lambda s, t, u: _associates(comp.shuffle, s, t, u)),
+    ("stuffle commutative ({n} cases)",
+     lambda rng: _compositions(rng, 2, low=1),
+     lambda s, t: _commutes(comp.stuffle, s, t)),
+    ("stuffle associative ({n} cases)",
+     lambda rng: _compositions(rng, 3, low=1, cap=14),
+     lambda s, t, u: _associates(comp.stuffle, s, t, u)),
+    ("tensor product commutative and associative ({n} cases)",
+     lambda rng: (_random_tensor(rng, 8), _random_tensor(rng, 8), _random_tensor(rng, 6)),
+     lambda a, b, c: _commutes(frba.product, a, b) and _associates(frba.product, a, b, c)),
+    ("word operator Rota-Baxter identity ({n} cases)",
+     lambda rng: (_random_h1_word(rng, 6), _random_h1_word(rng, 6)),
+     lambda a, b: _rota_baxter(words.shuffle, words.prepend_x0, a, b)),
+    ("composition operator Rota-Baxter identity ({n} cases)",
+     lambda rng: _compositions(rng, 2, each=6),
+     lambda s, t: _rota_baxter(comp.shuffle, comp.raise_first, s, t)),
+    ("tensor operator Rota-Baxter identity ({n} cases)",
+     lambda rng: (_random_tensor(rng, 7), _random_tensor(rng, 7)),
+     lambda a, b: _rota_baxter(frba.product, frba.nest, a, b)),
+    ("pole projector weight -1 identity ({n} cases)",
+     lambda rng: (_random_laurent(rng), _random_laurent(rng)),
+     _pole_identity),
+)
+
+ISOMORPHISM_LAWS = (
+    ("word map is an operator homomorphism ({n} cases)",
+     lambda rng: (_random_tensor(rng, 5), _random_tensor(rng, 5)),
+     lambda a, b: (
+         bilinear(words.shuffle, frba.to_word_sum(a), frba.to_word_sum(b))
+         == frba.product(a, b).map_linear(frba.to_word_sum)
+         and frba.to_word_sum(frba.nest(a)) == frba.to_word_sum(a).map_basis(words.prepend_x0))),
+    ("composition map is an operator homomorphism ({n} cases)",
+     lambda rng: (_random_tensor(rng, 5), _random_tensor(rng, 5)),
+     lambda a, b: (
+         comp.shuffle(frba.to_composition(a), frba.to_composition(b))
+         == frba.product(a, b).map_basis(frba.to_composition)
+         and frba.to_composition(frba.nest(a)) == comp.raise_first(frba.to_composition(a)))),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +200,7 @@ def euler_checks() -> list[CheckResult]:
 
 def graded_freeness_checks(max_degree: int = 8) -> list[CheckResult]:
     """Graded dimensions 2^(m-1) and invertibility of the word-side matrix."""
+    _at_least_one(max_degree=max_degree)
     suite = "freeness"
     out = []
     for m in range(1, max_degree + 1):
@@ -130,185 +227,38 @@ def graded_freeness_checks(max_degree: int = 8) -> list[CheckResult]:
 
 
 def structure_checks(cases: int = 500, seed: int = 20268) -> list[CheckResult]:
-    """Randomized commutativity/associativity and Rota-Baxter identity suites."""
-    suite = "structure"
-    out = []
-    rng = random.Random(seed)
-
-    failures = 0
-    for _ in range(cases):
-        s, t = _sample_nonneg(rng, 2, 18)
-        if comp.shuffle(s, t) != comp.shuffle(t, s):
-            failures += 1
-    out.append(_result(suite, f"extended shuffle commutative ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        s, t, u = _sample_nonneg(rng, 3, 16)
-        lhs = bilinear(comp.shuffle, comp.shuffle(s, t), LinComb.single(u))
-        rhs = bilinear(comp.shuffle, LinComb.single(s), comp.shuffle(t, u))
-        if lhs != rhs:
-            failures += 1
-    out.append(_result(suite, f"extended shuffle associative ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        s = _random_composition(rng, 1, 4, 4)
-        t = _random_composition(rng, 1, 4, 4)
-        if comp.stuffle(s, t) != comp.stuffle(t, s):
-            failures += 1
-    out.append(_result(suite, f"stuffle commutative ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        while True:
-            triple = [_random_composition(rng, 1, 4, 4) for _ in range(3)]
-            if sum(x.weight + x.depth for x in triple) <= 14:
-                s, t, u = triple
-                break
-        lhs = bilinear(comp.stuffle, comp.stuffle(s, t), LinComb.single(u))
-        rhs = bilinear(comp.stuffle, LinComb.single(s), comp.stuffle(t, u))
-        if lhs != rhs:
-            failures += 1
-    out.append(_result(suite, f"stuffle associative ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        a = _random_tensor(rng, 8)
-        b = _random_tensor(rng, 8)
-        c = _random_tensor(rng, 6)
-        if frba.product(a, b) != frba.product(b, a):
-            failures += 1
-        lhs = frba.product_lin(frba.product(a, b), LinComb.single(c))
-        rhs = frba.product_lin(LinComb.single(a), frba.product(b, c))
-        if lhs != rhs:
-            failures += 1
-    out.append(_result(suite, f"tensor product commutative and associative ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        a = _random_h1_word(rng, 6)
-        b = _random_h1_word(rng, 6)
-        lhs = words.shuffle(words.prepend_x0(a), words.prepend_x0(b))
-        inner1 = words.shuffle(a, words.prepend_x0(b)).map_basis(words.prepend_x0)
-        inner2 = words.shuffle(words.prepend_x0(a), b).map_basis(words.prepend_x0)
-        if lhs != inner1 + inner2:
-            failures += 1
-    out.append(_result(suite, f"word operator Rota-Baxter identity ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        while True:
-            s, t = _sample_nonneg(rng, 2, 12)
-            if s.weight + s.depth <= 6 and t.weight + t.depth <= 6:
-                break
-        lhs = comp.shuffle(comp.raise_first(s), comp.raise_first(t))
-        inner1 = comp.shuffle(s, comp.raise_first(t)).map_basis(comp.raise_first)
-        inner2 = comp.shuffle(comp.raise_first(s), t).map_basis(comp.raise_first)
-        if lhs != inner1 + inner2:
-            failures += 1
-    out.append(_result(suite, f"composition operator Rota-Baxter identity ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        a = _random_tensor(rng, 7)
-        b = _random_tensor(rng, 7)
-        lhs = frba.product(frba.nest(a), frba.nest(b))
-        inner1 = frba.product(a, frba.nest(b)).map_basis(frba.nest)
-        inner2 = frba.product(frba.nest(a), b).map_basis(frba.nest)
-        if lhs != inner1 + inner2:
-            failures += 1
-    out.append(_result(suite, f"tensor operator Rota-Baxter identity ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        f, g = _random_laurent(rng), _random_laurent(rng)
-        lhs = num.pole_part(f) * num.pole_part(g)
-        rhs = (
-            num.pole_part(f * num.pole_part(g))
-            + num.pole_part(num.pole_part(f) * g)
-            - num.pole_part(f * g)
-        )
-        if lhs != rhs:
-            failures += 1
-    out.append(_result(suite, f"pole projector weight -1 identity ({cases} cases)", failures == 0))
-
-    failures = total = 0
-    for weight in range(2, 8):
-        for split in range(1, weight):
-            for s in comp.positive_compositions(split):
-                for t in comp.positive_compositions(weight - split):
-                    total += 1
-                    transported = words.shuffle(
-                        words.from_composition(s), words.from_composition(t)
-                    ).map_basis(words.to_composition)
-                    if comp.shuffle(s, t) != transported:
-                        failures += 1
-    out.append(
-        _result(suite, f"shuffle transport identity exhaustive to weight 7 ({total} pairs)",
-                failures == 0)
-    )
+    """The randomized product and Rota-Baxter laws, then shuffle transport exhaustively."""
+    _at_least_one(cases=cases)
+    pairs = [(s, t) for weight in range(2, 8) for split in range(1, weight)
+             for s in comp.positive_compositions(split)
+             for t in comp.positive_compositions(weight - split)]
+    out = _random_laws("structure", STRUCTURE_LAWS, cases, seed)
+    out.append(_law(
+        "structure", "shuffle transport identity exhaustive to weight 7 ({n} pairs)",
+        lambda s, t: comp.shuffle(s, t) == words.shuffle(
+            words.from_composition(s), words.from_composition(t)).map_basis(words.to_composition),
+        pairs))
     return out
 
 
 def isomorphism_checks(max_degree: int = 6, injective_degree: int = 8,
                        cases: int = 200, seed: int = 20269) -> list[CheckResult]:
     """Universal-property evaluation against both explicit isomorphisms."""
+    _at_least_one(max_degree=max_degree, injective_degree=injective_degree, cases=cases)
     suite = "isomorphism"
-    out = []
-    rng = random.Random(seed)
-
     mul_w, rb_w, gen_w = frba.word_target()
     mul_c, rb_c, gen_c = frba.composition_target()
-    failures_w = failures_c = total = 0
-    for m in range(1, max_degree + 1):
-        for tensor in frba.graded_basis(m):
-            total += 1
-            if frba.evaluate(tensor, mul_w, rb_w, gen_w) != frba.to_word_sum(tensor):
-                failures_w += 1
-            got = frba.evaluate(tensor, mul_c, rb_c, gen_c)
-            if got != LinComb.single(frba.to_composition(tensor)):
-                failures_c += 1
-    out.append(_result(suite, f"universal evaluation matches word map (degree <= {max_degree}, {total} tensors)",
-                       failures_w == 0))
-    out.append(_result(suite, f"universal evaluation matches composition map (degree <= {max_degree})",
-                       failures_c == 0))
-
-    images = {}
-    clash = False
-    for m in range(1, injective_degree + 1):
-        for tensor in frba.graded_basis(m):
-            image = frba.to_composition(tensor)
-            if image in images:
-                clash = True
-            images[image] = tensor
-    out.append(_result(suite, f"composition map injective on bases to degree {injective_degree}",
-                       not clash, f"{len(images)} images"))
-
-    failures = 0
-    for _ in range(cases):
-        a = _random_tensor(rng, 5)
-        b = _random_tensor(rng, 5)
-        lhs = bilinear(words.shuffle, frba.to_word_sum(a), frba.to_word_sum(b))
-        rhs = frba.product(a, b).map_linear(frba.to_word_sum)
-        if lhs != rhs:
-            failures += 1
-        if frba.to_word_sum(frba.nest(a)) != frba.to_word_sum(a).map_basis(words.prepend_x0):
-            failures += 1
-    out.append(_result(suite, f"word map is an operator homomorphism ({cases} cases)", failures == 0))
-
-    failures = 0
-    for _ in range(cases):
-        a = _random_tensor(rng, 5)
-        b = _random_tensor(rng, 5)
-        lhs = comp.shuffle(frba.to_composition(a), frba.to_composition(b))
-        rhs = frba.product(a, b).map_basis(frba.to_composition)
-        if lhs != rhs:
-            failures += 1
-        if frba.to_composition(frba.nest(a)) != comp.raise_first(frba.to_composition(a)):
-            failures += 1
-    out.append(_result(suite, f"composition map is an operator homomorphism ({cases} cases)", failures == 0))
-    return out
+    tensors, injective = _tensors(max_degree), _tensors(injective_degree)
+    preimage = {frba.to_composition(t): t for (t,) in injective}
+    return [
+        _law(suite, f"universal evaluation matches word map (degree <= {max_degree}, {{n}} tensors)",
+             lambda t: frba.evaluate(t, mul_w, rb_w, gen_w) == frba.to_word_sum(t), tensors),
+        _law(suite, f"universal evaluation matches composition map (degree <= {max_degree})",
+             lambda t: frba.evaluate(t, mul_c, rb_c, gen_c) == LinComb.single(frba.to_composition(t)),
+             tensors),
+        _law(suite, f"composition map injective on bases to degree {injective_degree} ({{n}} images)",
+             lambda t: preimage[frba.to_composition(t)] == t, injective),
+    ] + _random_laws(suite, ISOMORPHISM_LAWS, cases, seed)
 
 
 def polylog_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
@@ -357,6 +307,7 @@ def series_checks(order: int = 12) -> list[CheckResult]:
 def regularization_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
                           exact_tol: float = 1e-10, mzv_tol: float = 1e-3) -> list[CheckResult]:
     """The regularization-exchange diagram and the inverse-map identity."""
+    _at_least_one(max_weight=max_weight)
     suite = "regularization"
     ctx = ctx or PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)
     out = []
@@ -430,6 +381,6 @@ def run_suites(names: list[str], **options) -> list[CheckResult]:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
         suite = SUITES[name]
-        kwargs = {k: v for k, v in options.items() if k in suite.__code__.co_varnames}
-        results.extend(suite(**kwargs))
+        params = inspect.signature(suite).parameters
+        results.extend(suite(**{k: v for k, v in options.items() if k in params}))
     return results

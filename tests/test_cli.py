@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import mzvkit
+from mzvkit import cli
 from mzvkit import expressions as expr
 from mzvkit.cli import _value_json, main
 
@@ -232,6 +234,35 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 1 and "unknown suite" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["structure", "--cases", "-3"], "cases"),
+        (["structure", "--cases", "0"], "cases"),
+        (["freeness", "--max-degree", "0"], "max_degree"),
+        (["isomorphism", "--max-degree", "0"], "max_degree"),
+        (["regularization", "--max-weight", "0"], "max_weight"),
+    ])
+    def test_empty_range_is_1(self, capsys, argv, option):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and out == ""
+        assert f"{option} must be at least 1" in err and "PASS" not in err
+
+    def test_weight_zero_polylog_still_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", "polylog", "--max-weight", "0")
+        assert code == 0 and out.count("PASS") == 2
+
+
+def test_parser_is_built_once_at_import(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parser rebuilt")
+
+    # a cold request empties every cache of the module first, as the bench does
+    for value in vars(cli).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    code, out, _ = run(capsys, "rank", "--weight", "3")
+    assert code == 0 and out
 
 
 def test_out_file(tmp_path, capsys):

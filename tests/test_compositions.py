@@ -19,7 +19,6 @@ from mzvkit.compositions import (
 )
 from mzvkit.core import DomainError, LinComb, bilinear
 from mzvkit.free_rba import graded_basis, to_composition as tensor_to_composition
-from mzvkit.words import from_composition, shuffle as word_shuffle, to_composition
 
 
 def C(*entries):
@@ -101,16 +100,6 @@ class TestExtendedShuffle:
         got = shuffle(C(0, 1), C(0, 2))
         assert got == shuffle(C(0, 2), C(0, 1))
         assert all(term.entries[:2] == (0, 0) for term, _ in got.items())
-
-    def test_transport_identity_exhaustive_weight_7(self):
-        for total in range(2, 8):
-            for split in range(1, total):
-                for s in positive_compositions(split):
-                    for t in positive_compositions(total - split):
-                        transported = word_shuffle(
-                            from_composition(s), from_composition(t)
-                        ).map_basis(to_composition)
-                        assert shuffle(s, t) == transported, (s, t)
 
     def test_positive_four_case_recursion(self):
         # on positive compositions the product satisfies the case split on
@@ -213,17 +202,6 @@ class TestRaiseFirst:
             raise_first(a), b
         ).map_basis(raise_first)
         assert lhs == rhs
-
-    def test_rota_baxter_randomized(self):
-        rng = random.Random(31)
-        pool = nonnegative_compositions(4, 3)
-        for _ in range(300):
-            a, b = rng.choice(pool), rng.choice(pool)
-            lhs = shuffle(raise_first(a), raise_first(b))
-            rhs = shuffle(a, raise_first(b)).map_basis(raise_first) + shuffle(
-                raise_first(a), b
-            ).map_basis(raise_first)
-            assert lhs == rhs
 
 
 class TestStuffle:

@@ -3,22 +3,18 @@ import random
 
 import pytest
 
-from mzvkit import words
-from mzvkit.compositions import Composition, raise_first
-from mzvkit.compositions import shuffle as comp_shuffle
-from mzvkit.core import DomainError, LinComb, bilinear, matrix_rank
+from mzvkit import compositions, verification, words
+from mzvkit.compositions import Composition, nonnegative_compositions
+from mzvkit.core import DomainError, LinComb, matrix_rank
 from mzvkit.free_rba import (
     GENERATOR,
     TensorWord,
-    composition_target,
     evaluate,
     graded_basis,
     nest,
     product,
-    product_lin,
     to_composition,
     to_word_sum,
-    word_target,
 )
 
 
@@ -53,17 +49,6 @@ class TestProduct:
     def test_nested_square(self):
         assert product(T(0, 1), T(0, 1)) == LinComb({T(0, 1, 1): 2})
 
-    def test_commutative_associative_randomized(self):
-        rng = random.Random(43)
-        for _ in range(300):
-            a = rng.choice(graded_basis(rng.randint(1, 8)))
-            b = rng.choice(graded_basis(rng.randint(1, 8)))
-            c = rng.choice(graded_basis(rng.randint(1, 6)))
-            assert product(a, b) == product(b, a)
-            lhs = product_lin(product(a, b), LinComb.single(c))
-            rhs = product_lin(LinComb.single(a), product(b, c))
-            assert lhs == rhs
-
     def test_degree_additive(self):
         rng = random.Random(47)
         for _ in range(100):
@@ -86,15 +71,6 @@ class TestNest:
         ).map_basis(nest)
         assert lhs == rhs == LinComb({T(0, 1, 1): 2})
 
-    def test_rota_baxter_randomized(self):
-        rng = random.Random(53)
-        for _ in range(300):
-            a = rng.choice(graded_basis(rng.randint(1, 7)))
-            b = rng.choice(graded_basis(rng.randint(1, 7)))
-            lhs = product(nest(a), nest(b))
-            rhs = product(a, nest(b)).map_basis(nest) + product(nest(a), b).map_basis(nest)
-            assert lhs == rhs
-
 
 class TestWordMap:
     def test_generator(self):
@@ -113,17 +89,10 @@ class TestWordMap:
         got = to_word_sum(T(3))
         assert got == LinComb({words.Word.from_text("x1x1x1"): math.factorial(3)})
 
-    def test_degree_preserving_homomorphism_randomized(self):
-        rng = random.Random(59)
-        for _ in range(150):
-            a = rng.choice(graded_basis(rng.randint(1, 5)))
-            b = rng.choice(graded_basis(rng.randint(1, 5)))
-            assert bilinear(words.shuffle, to_word_sum(a), to_word_sum(b)) == product(
-                a, b
-            ).map_linear(to_word_sum)
-            assert to_word_sum(nest(a)) == to_word_sum(a).map_basis(words.prepend_x0)
-            for w, _ in to_word_sum(a).items():
-                assert len(w) == a.degree
+    def test_degree_preserving(self):
+        for m in range(1, 7):
+            for a in graded_basis(m):
+                assert all(len(w) == m for w, _ in to_word_sum(a).items())
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_word_matrix_invertible(self, m):
@@ -151,39 +120,8 @@ class TestCompositionMap:
         assert to_composition(T(0, 0, 1)) == Composition((2,))
         assert to_composition(T(1, 0, 1)) == Composition((0, 2))
 
-    def test_injective_to_degree_8(self):
-        seen = {}
-        for m in range(1, 9):
-            for tensor in graded_basis(m):
-                image = to_composition(tensor)
-                assert image not in seen, (tensor, seen[image])
-                seen[image] = tensor
-
-    def test_homomorphism_randomized(self):
-        rng = random.Random(61)
-        for _ in range(150):
-            a = rng.choice(graded_basis(rng.randint(1, 5)))
-            b = rng.choice(graded_basis(rng.randint(1, 5)))
-            assert comp_shuffle(to_composition(a), to_composition(b)) == product(
-                a, b
-            ).map_basis(to_composition)
-            assert to_composition(nest(a)) == raise_first(to_composition(a))
-
 
 class TestUniversalEvaluation:
-    def test_matches_word_map_exhaustively(self):
-        mul, rb, gen = word_target()
-        for m in range(1, 7):
-            for tensor in graded_basis(m):
-                assert evaluate(tensor, mul, rb, gen) == to_word_sum(tensor)
-
-    def test_matches_composition_map_exhaustively(self):
-        mul, rb, gen = composition_target()
-        for m in range(1, 7):
-            for tensor in graded_basis(m):
-                got = evaluate(tensor, mul, rb, gen)
-                assert got == LinComb.single(to_composition(tensor))
-
     def test_numeric_target_at_depth_one(self):
         # generator value e^eps/(1-e^eps) at eps = -1; the operator is never
         # invoked for a depth-one tensor, so a plain multiplicative target works
@@ -222,3 +160,79 @@ class TestGradedBasis:
 
 def test_generator_constant():
     assert GENERATOR == T(1)
+
+
+def _row(prefix, draw=None):
+    """The law row whose name starts with ``prefix``, optionally with another draw."""
+    rows = verification.STRUCTURE_LAWS + verification.ISOMORPHISM_LAWS
+    name, row_draw, holds = next(r for r in rows if r[0].startswith(prefix))
+    return name, draw or row_draw, holds
+
+
+# [0,0,4] has weight + depth 7, past the 6 the row's own sampler allows
+_POOL = nonnegative_compositions(4, 3)
+
+
+@pytest.mark.parametrize("row, seed, cases", [
+    pytest.param(_row("tensor product commutative"), 43, 300, id="tensor-product"),
+    pytest.param(_row("tensor operator Rota-Baxter"), 53, 300, id="tensor-rota-baxter"),
+    pytest.param(_row("word map is an operator homomorphism"), 59, 150, id="word-map"),
+    pytest.param(_row("composition map is an operator homomorphism"), 61, 150, id="composition-map"),
+    pytest.param(_row("word operator Rota-Baxter"), 9, 300, id="word-rota-baxter"),
+    pytest.param(_row("composition operator Rota-Baxter",
+                      lambda rng: (rng.choice(_POOL), rng.choice(_POOL))),
+                 31, 300, id="composition-rota-baxter-pool"),
+])
+def test_law_row(row, seed, cases):
+    name, draw, holds = row
+    rng = random.Random(seed)
+    result = verification._law("unit", name, holds, [draw(rng) for _ in range(cases)])
+    assert result.passed, result.line()
+
+
+class TestLawRunner:
+    # the first input of each random row at the default seeds and case counts
+    FIRST_INPUTS = {
+        "extended shuffle commutative": ("[3,0,4]", "[4,0,0]"),
+        "extended shuffle associative": ("[3]", "[1,1,2]", "[1]"),
+        "stuffle commutative": ("[3]", "[4,4,2,4]"),
+        "stuffle associative": ("[2,2]", "[1]", "[1,3]"),
+        "tensor product commutative and associative": ("(1,1,0,3)", "(0,2,1)", "(0,0,1,2)"),
+        "word operator Rota-Baxter identity": ("x1x0x1x1x1x1", "x1x0x1x0x0x1"),
+        "composition operator Rota-Baxter identity": ("[0]", "[3]"),
+        "tensor operator Rota-Baxter identity": ("(1,0,2,1)", "(1,1,1)"),
+        "pole projector weight -1 identity":
+            ("2 + eps", "3*eps^-4 - 2*eps^-3 + eps^-2 + 2*eps^-1 + 3/2*eps^4"),
+        "word map is an operator homomorphism": ("(2)", "(1)"),
+        "composition map is an operator homomorphism": ("(0,0,3)", "(1)"),
+    }
+
+    def test_first_draws_at_default_seeds(self, monkeypatch):
+        first = {}
+
+        def record(suite, name, holds, inputs):
+            first[name] = tuple(map(str, inputs[0]))
+
+        monkeypatch.setattr(verification, "_law", record)
+        verification.structure_checks()
+        verification.isomorphism_checks()
+        drawn = {name.split(" (")[0]: args for name, args in first.items() if "cases)" in name}
+        assert drawn == self.FIRST_INPUTS
+
+    def test_broken_shuffle_fails_with_its_input(self, monkeypatch):
+        shuffle = compositions.shuffle
+        monkeypatch.setattr(compositions, "shuffle",
+                            lambda s, t: LinComb(list(shuffle(s, t).items())[1:]))
+        results = verification.structure_checks(cases=20)
+        failed = {r.name.split(" (")[0]: r.detail for r in results if not r.passed}
+        assert set(failed) == {
+            "extended shuffle commutative", "extended shuffle associative",
+            "composition operator Rota-Baxter identity", "shuffle transport identity exhaustive to weight 7",
+        }
+        assert failed["extended shuffle commutative"] == "first failing input: [3,0,4], [4,0,0]"
+        assert failed["shuffle transport identity exhaustive to weight 7"] == "first failing input: [1], [1]"
+
+    def test_empty_injectivity_range_raises(self):
+        # the command line has no option for it; --max-degree and --cases are tested there
+        with pytest.raises(DomainError, match="injective_degree"):
+            verification.isomorphism_checks(injective_degree=0)

@@ -89,17 +89,6 @@ class TestOperator:
         rhs = shuffle(X1_WORD, prepend_x0(X1_WORD)).map_basis(prepend_x0).scale(2)
         assert lhs == rhs  # I0(x1) sh I0(x1) = 2 I0(x1 sh I0(x1))
 
-    def test_rota_baxter_identity_randomized(self):
-        rng = random.Random(9)
-        for _ in range(300):
-            a = rng.choice(words_of_degree(rng.randint(1, 6)))
-            b = rng.choice(words_of_degree(rng.randint(1, 6)))
-            lhs = shuffle(prepend_x0(a), prepend_x0(b))
-            rhs = shuffle(a, prepend_x0(b)).map_basis(prepend_x0) + shuffle(
-                prepend_x0(a), b
-            ).map_basis(prepend_x0)
-            assert lhs == rhs
-
 
 class TestDegree:
     def test_examples(self):
