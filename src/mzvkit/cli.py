@@ -202,14 +202,13 @@ def _cmd_zdir(args) -> int:
     return 0
 
 
+_SUITE_SIZES = ("max_weight", "max_degree", "cases", "seed")
+
+
 def _cmd_verify(args) -> int:
-    options = {
-        "max_degree": args.max_degree,
-        "max_weight": args.max_weight,
-        "cases": args.cases,
-        "seed": args.seed,
-        "ctx": _context(args),
-    }
+    # a suite sees only the sizes given on the command line and keeps its own defaults for the rest
+    options = {name: getattr(args, name) for name in _SUITE_SIZES if getattr(args, name) is not None}
+    options["ctx"] = _context(args)
     results = verification.run_suites(args.suites, **options)
     lines = [r.line() for r in results]
     _emit(args, "\n".join(lines))
@@ -281,10 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="+",
                    help=f"suite names or 'all': {', '.join(sorted(verification.SUITES))}")
-    p.add_argument("--max-weight", type=int, default=4, dest="max_weight")
-    p.add_argument("--max-degree", type=int, default=8, dest="max_degree")
-    p.add_argument("--cases", type=int, default=500)
-    p.add_argument("--seed", type=int, default=20268)
+    for flag in _SUITE_SIZES:
+        p.add_argument("--" + flag.replace("_", "-"), type=int, dest=flag,
+                       help="passed to the suites that take it (default: each suite's own)")
     _add_numeric_flags(p, tol=1e-4)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_verify)

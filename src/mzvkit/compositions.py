@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 
-from .core import DomainError, LinComb, bilinear, mixable_shuffle
+from .core import DomainError, LinComb, bilinear, mixable_shuffle, shared_dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,11 +140,32 @@ def entries_to_exponents(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _interned(entries: tuple[int, ...], table: dict) -> Composition:
+    """The one composition of ``table`` (a :func:`~mzvkit.core.shared_dict`) with these entries."""
+    s = table.get(entries)
+    if s is None:
+        s = table[entries] = Composition(entries)
+    return s
+
+
 @lru_cache(maxsize=8192)
 def _shuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
     x, y = entries_to_exponents(s), entries_to_exponents(t)
     head = (x[0] + y[0],)
-    return mixable_shuffle(x[1:], y[1:]).map_basis(lambda e: Composition(exponents_to_entries(head + e)))
+    terms = mixable_shuffle(x[1:], y[1:])
+    by_exponents = shared_dict("compositions.by_exponents")
+    if by_exponents is None:
+        return terms.map_basis(lambda e: Composition(exponents_to_entries(head + e)))
+    by_entries = shared_dict("compositions.by_entries")
+
+    def term(e: tuple[int, ...]) -> Composition:
+        exps = head + e
+        s = by_exponents.get(exps)
+        if s is None:
+            s = by_exponents[exps] = _interned(exponents_to_entries(exps), by_entries)
+        return s
+
+    return terms.map_basis(term)
 
 
 def shuffle(s: Composition, t: Composition) -> LinComb[Composition]:
@@ -169,7 +190,11 @@ def _add_entries(x: int, y: int) -> int:
 
 @lru_cache(maxsize=8192)
 def _stuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
-    return mixable_shuffle(s, t, weight=1, merge=_add_entries).map_basis(Composition)
+    terms = mixable_shuffle(s, t, weight=1, merge=_add_entries)
+    by_entries = shared_dict("compositions.by_entries")
+    if by_entries is None:
+        return terms.map_basis(Composition)
+    return terms.map_basis(lambda e: _interned(e, by_entries))
 
 
 def stuffle(s: Composition, t: Composition) -> LinComb[Composition]:

@@ -10,11 +10,14 @@ sit the generic mixable shuffle recursion that the word shuffle, the
 composition shuffle and both quasi-shuffle products instantiate, and the
 certified exact matrix rank.  Coefficients are ``int`` unless a non-integer
 scalar enters (:func:`_exact`).  Values are immutable after construction and
-safe to share between threads.
+safe to share between threads.  Inside a :func:`shared_products` block the
+products of the current thread share their recursion memos.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm
@@ -279,6 +282,40 @@ def bilinear(
     return LinComb._new(acc)
 
 
+# the scope of the innermost open shared_products block of this context, or None
+_SHARED: ContextVar[dict | None] = ContextVar("mzvkit_shared_products", default=None)
+
+
+@contextmanager
+def shared_products() -> Iterator[None]:
+    """Let the products computed in the block share their intermediate results.
+
+    Inside the block, :func:`mixable_shuffle` keeps one recursion memo per
+    (weight, merge) instead of one per call, and the composition products
+    hand out one :class:`~mzvkit.compositions.Composition` per distinct
+    term, so a batch of products over overlapping inputs computes each
+    sub-product once.  The scope belongs to the current context (so to the
+    current thread) and is freed when the block exits; a nested block has a
+    scope of its own.  Results are equal with or without the block.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def shared_dict(key: Hashable) -> dict | None:
+    """The dict stored under ``key`` in the open :func:`shared_products` scope, or None outside one."""
+    scope = _SHARED.get()
+    if scope is None:
+        return None
+    table = scope.get(key)
+    if table is None:
+        table = scope[key] = {}
+    return table
+
+
 def mixable_shuffle(
     a: tuple,
     b: tuple,
@@ -294,9 +331,15 @@ def mixable_shuffle(
     never calls ``merge``, so the plain shuffle works on atoms with no
     product at all.  A partial ``merge`` signals unsupported pairs by
     raising :class:`MergeUndefinedError`.
+
+    The memo of the recursion lives for one call, except inside a
+    :func:`shared_products` block, where the calls of one (weight, merge)
+    share it.  Only the relation table of a weight opens such a block.
     """
     lam = _exact(weight)
-    memo: dict[tuple[tuple, tuple], dict[tuple, Scalar]] = {}
+    memo = shared_dict(("mixable_shuffle", type(lam), lam, merge))
+    if memo is None:
+        memo = {}
 
     def rec(x: tuple, y: tuple) -> dict[tuple, Scalar]:
         if not x:
@@ -330,7 +373,10 @@ def mixable_shuffle(
         memo[key] = out
         return out
 
-    return LinComb(rec(tuple(a), tuple(b)))
+    try:
+        return LinComb._new(rec(tuple(a), tuple(b)))
+    finally:
+        rec = None  # rec refers to itself: break the cycle so that a memo is freed with its last user
 
 
 def _same(c):

@@ -30,7 +30,7 @@ from .compositions import (
     shuffle,
     stuffle,
 )
-from .core import DomainError, LinComb, Sparse, TPoly, matrix_rank
+from .core import DomainError, LinComb, Sparse, TPoly, matrix_rank, shared_products
 from .numerics import DEFAULT_CTX, PrecisionContext, zeta_pos
 
 
@@ -259,16 +259,17 @@ def _relation_table(weight: int) -> tuple[tuple[Relation, ...], int]:
     if weight < 2:
         raise DomainError("relations start at weight 2")
     out: list[Relation] = []
-    for w1, w2 in _convergent_pairs(weight):
-        diff = shuffle(w1, w2) - stuffle(w1, w2)
-        if diff:
-            out.append(Relation(diff, weight, (w1, w2)))
-    count = len(out)
-    z1 = ones(1)
-    for w2 in convergent_compositions(weight - 1):
-        diff = shuffle(z1, w2) - stuffle(z1, w2)
-        if diff:
-            out.append(Relation(diff, weight, (z1, w2)))
+    with shared_products():  # the pairs overlap in most sub-products and terms
+        for w1, w2 in _convergent_pairs(weight):
+            diff = shuffle(w1, w2) - stuffle(w1, w2)
+            if diff:
+                out.append(Relation(diff, weight, (w1, w2)))
+        count = len(out)
+        z1 = ones(1)
+        for w2 in convergent_compositions(weight - 1):
+            diff = shuffle(z1, w2) - stuffle(z1, w2)
+            if diff:
+                out.append(Relation(diff, weight, (z1, w2)))
     return tuple(out), count
 
 

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import mzvkit
 from mzvkit import cli
 from mzvkit import expressions as expr
+from mzvkit import verification
 from mzvkit.cli import _value_json, main
 
 
@@ -230,6 +232,33 @@ class TestVerifyCommand:
         suites = {line.split()[1].rstrip(":") for line in lines}
         assert {"euler", "freeness", "structure", "isomorphism", "polylog",
                 "series", "regularization", "corollary", "ranks"} <= suites
+
+    def test_suites_keep_their_own_defaults(self, capsys, monkeypatch):
+        # verify structure isomorphism prints structure_checks() + isomorphism_checks():
+        # each suite runs once, called with no arguments, and its lines are printed
+        calls = []
+
+        def spy(suite):
+            @functools.wraps(suite)  # run_suites reads the parameters through __wrapped__
+            def called(**options):
+                results = suite(**options)
+                calls.append((options, results))
+                return results
+            return called
+
+        for name in ("structure", "isomorphism"):
+            monkeypatch.setitem(verification.SUITES, name, spy(verification.SUITES[name]))
+        code, out, _ = run(capsys, "verify", "structure", "isomorphism")
+        assert code == 0 and [options for options, _ in calls] == [{}, {}]
+        assert out.splitlines() == [r.line() for _, results in calls for r in results]
+        assert "(500 cases)" in calls[0][1][0].line() and "(200 cases)" in calls[1][1][-1].line()
+
+    def test_given_sizes_reach_the_suites_that_take_them(self, capsys):
+        code, out, _ = run(capsys, "verify", "isomorphism", "freeness", "--cases", "20", "--seed", "7",
+                           "--max-degree", "3")
+        want = (verification.isomorphism_checks(max_degree=3, cases=20, seed=7)
+                + verification.graded_freeness_checks(max_degree=3))
+        assert code == 0 and out.splitlines() == [r.line() for r in want]
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")

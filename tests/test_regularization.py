@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from mzvkit import cli
+from mzvkit import compositions as comp
 from mzvkit.compositions import (
     Composition,
     convergent_compositions,
@@ -12,7 +15,7 @@ from mzvkit.compositions import (
     shuffle,
     stuffle,
 )
-from mzvkit.core import DomainError, LinComb, TPoly, bilinear, matrix_rank
+from mzvkit.core import DomainError, LinComb, TPoly, bilinear, matrix_rank, shared_dict
 from mzvkit.numerics import PrecisionContext, eval_reg_poly, zeta_pos
 from mzvkit.regularization import (
     MZVSymbol,
@@ -312,6 +315,44 @@ class TestDepthOrder:
         ]
         expected = matrix_rank(rows) if rows else 0
         assert relation_rank(weight) == (expected, len(basis) - expected)
+
+
+# sha256 prefixes of `mzvkit eds --weight w --format csv|json` on stdout,
+# recorded before the products of a relation table shared their work
+EDS_DIGESTS = {
+    (2, "csv"): "7574108bd8ceb43b", (2, "json"): "37517e5f3dc66819",
+    (3, "csv"): "7c431ee061b0dc23", (3, "json"): "84acd6f21805d163",
+    (4, "csv"): "54206bc0cc1c3c14", (4, "json"): "72afa0936aa954f6",
+    (5, "csv"): "d4e6267064e784a3", (5, "json"): "ab0e2a3cb38251c5",
+    (6, "csv"): "d635c98a833fd2a8", (6, "json"): "85fda1dedff929b8",
+    (7, "csv"): "2e29e97e78b428d9", (7, "json"): "7b20732d30bbfe0d",
+    (8, "csv"): "7c6181b05548da9b", (8, "json"): "c31f442815a0e18a",
+    (9, "csv"): "8128dfaa5e0c41c6", (9, "json"): "562f822f2f75f5cb",
+    (10, "csv"): "7ee147166005fa88", (10, "json"): "0cb37afd1c1e9daf",
+}
+
+
+class TestSharedTable:
+    # _relation_table builds its products inside one shared_products block
+
+    @pytest.mark.parametrize("weight", range(2, 11))
+    def test_table_matches_products_built_outside_a_block(self, weight):
+        table = extended_double_shuffle_relations(weight)
+        comp._shuffle_entries.cache_clear()
+        comp._stuffle_entries.cache_clear()
+        assert shared_dict("probe") is None
+        pairs = list(_convergent_pairs(weight)) + [(C(1), s) for s in convergent_compositions(weight - 1)]
+        rebuilt = [((u, v), diff) for u, v in pairs if (diff := shuffle(u, v) - stuffle(u, v))]
+        assert [rel.source for rel in table] == [source for source, _ in rebuilt]
+        assert [list(rel.terms.items()) for rel in table] == [list(diff.items()) for _, diff in rebuilt]
+
+    @pytest.mark.parametrize("weight", range(2, 11))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_eds_bytes_unchanged(self, capsys, weight, fmt):
+        _relation_table.cache_clear()
+        assert cli.main(["eds", "--weight", str(weight), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == EDS_DIGESTS[weight, fmt]
 
 
 class TestRhoMap:
