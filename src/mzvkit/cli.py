@@ -142,7 +142,7 @@ def _cmd_regularize(args, shuffle_side: bool) -> int:
     elif args.format == "csv":
         lines = ["t_degree,monomial,coefficient"]
         for deg, coeff in sorted(poly.items()):
-            for mono, c in coeff.sorted_monomials():
+            for mono, c in coeff.sorted_items():
                 label = "*".join(str(sym) for sym in mono) or "1"
                 lines.append(f"{deg},\"{label}\",{reg.fraction_str(c)}")
         _emit(args, "\n".join(lines) + "\n")

@@ -82,7 +82,7 @@ class BiComposition:
 
     @classmethod
     def make(cls, s_row, r_row) -> "BiComposition":
-        return cls(tuple(int(s) for s in s_row), tuple(Fraction(r) for r in r_row))
+        return cls(tuple(int(s) for s in s_row), tuple(r_row))
 
     @property
     def depth(self) -> int:
@@ -225,10 +225,6 @@ def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiCom
 def bistuffle(u: BiComposition, v: BiComposition) -> LinComb[BiComposition]:
     """Quasi-shuffle of two-row symbols; merged columns add componentwise."""
     return _column_shuffle(u, v, 1)
-
-
-def bistuffle_lin(a: LinComb[BiComposition], b: LinComb[BiComposition]) -> LinComb[BiComposition]:
-    return bilinear(bistuffle, a, b)
 
 
 def ones(n: int) -> Composition:

@@ -21,7 +21,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm
-from operator import add, mul
+from operator import add, mul, neg
 from typing import Callable, Generic, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 B = TypeVar("B", bound=Hashable)
@@ -43,17 +43,24 @@ def _exact(c) -> Scalar:
     return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
 
+def _same(c):
+    return c
+
+
 class Sparse:
     """Finite formal sum ``{key: coefficient}`` with zero coefficients pruned.
 
     The one sparse-dict type behind :class:`LinComb`, :class:`TPoly`,
     :class:`~mzvkit.regularization.ZetaExpr` and
-    :class:`~mzvkit.numerics.LaurentPoly`.  A subclass fixes three constants:
-    ``_coerce`` converts coefficients (:func:`_exact` unless overridden),
-    ``_key`` validates or normalises a key on construction (none by default),
-    and ``_mul_key`` combines the keys of two terms in a product (none: the
-    type has no product of its own).  Equality is term-set equality between
-    values of the same type.  Instances never mutate.
+    :class:`~mzvkit.numerics.LaurentPoly`.  A subclass fixes up to five
+    constants: ``_coerce`` converts coefficients (:func:`_exact` unless
+    overridden), ``_key`` validates or normalises a key on construction (none
+    by default), ``_mul_key`` combines the keys of two terms in a product
+    (none: the type has no product of its own), ``_order`` gives the sort key
+    of a key for :meth:`sorted_items` and ``str`` (the key itself by
+    default), and ``_text`` writes a key as a monomial, ``""`` for the unit
+    key (``str`` by default).  Equality is term-set equality between values
+    of the same type.  Instances never mutate.
     """
 
     __slots__ = ("_terms",)
@@ -61,6 +68,8 @@ class Sparse:
     _coerce: Callable = staticmethod(_exact)
     _key: Callable | None = None
     _mul_key: Callable | None = None
+    _order: Callable = staticmethod(_same)
+    _text: Callable = str
 
     def __init__(self, terms: Mapping | Iterable[tuple] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -166,8 +175,57 @@ class Sparse:
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
+    def sorted_items(self) -> list[tuple]:
+        """The terms ordered by ``_order`` of their keys; stored order if the keys do not compare."""
+        terms = self._terms
+        try:
+            return [(key, terms[key]) for key in sorted(terms, key=self._order)]
+        except TypeError:
+            return list(terms.items())
+
+    def __str__(self) -> str:
+        """Terms in ``sorted_items`` order joined by `` + `` (``"0"`` if none).
+
+        A term is ``c`` for the unit key, ``mono`` or ``-mono`` for c = ±1,
+        ``(c)*mono`` if the text of c is a sum (it has a space or an inner
+        ``+``, as a :class:`~mzvkit.regularization.ZetaExpr` may) and
+        ``c*mono`` otherwise; ``+ -`` is written ``- ``.
+        """
+        parts, text_of = [], self._text
+        for key, c in self.sorted_items():
+            mono, text = text_of(key), str(c)
+            if mono:
+                if text == "1":
+                    text = mono
+                elif text == "-1":
+                    text = f"-{mono}"
+                elif " " in text or "+" in text.strip("-"):
+                    text = f"({text})*{mono}"
+                else:
+                    text = f"{text}*{mono}"
+            parts.append(text)
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._terms!r})"
+
+
+def power_text(symbol: str) -> Callable[[int], str]:
+    """``_text`` of a polynomial in ``symbol``: ``""``, ``symbol``, ``symbol^n``."""
+
+    def text(n: int) -> str:
+        return "" if n == 0 else (symbol if n == 1 else f"{symbol}^{n}")
+
+    return text
+
+
+def _sort_key(basis):
+    key = getattr(basis, "sort_key", None)
+    if key is not None:
+        return key() if callable(key) else key
+    if isinstance(basis, tuple):
+        return (len(basis), basis)
+    return basis
 
 
 class LinComb(Sparse, Generic[B]):
@@ -178,6 +236,8 @@ class LinComb(Sparse, Generic[B]):
     """
 
     __slots__ = ()
+
+    _order = staticmethod(_sort_key)
 
     @classmethod
     def single(cls, basis: B, coeff: Scalar = 1) -> "LinComb[B]":
@@ -226,36 +286,6 @@ class LinComb(Sparse, Generic[B]):
 
     def coefficient_sum(self) -> Scalar:
         return sum(self._terms.values())
-
-    def sorted_items(self) -> list[tuple[B, Scalar]]:
-        try:
-            return sorted(self._terms.items(), key=lambda kv: _sort_key(kv[0]))
-        except TypeError:
-            return list(self._terms.items())
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for basis, coeff in self.sorted_items():
-            if coeff == 1:
-                lead = ""
-            elif coeff == -1:
-                lead = "-"
-            else:
-                lead = f"{coeff}*"
-            parts.append(f"{lead}{basis}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
-
-
-def _sort_key(basis):
-    key = getattr(basis, "sort_key", None)
-    if key is not None:
-        return key() if callable(key) else key
-    if isinstance(basis, tuple):
-        return (len(basis), basis)
-    return basis
 
 
 def combine(a: LinComb[B], b: LinComb[B], scalar: Scalar) -> LinComb[B]:
@@ -379,10 +409,6 @@ def mixable_shuffle(
         rec = None  # rec refers to itself: break the cycle so that a memo is freed with its last user
 
 
-def _same(c):
-    return c
-
-
 def _nonnegative_degree(deg: int) -> int:
     if deg < 0:
         raise DomainError("T-polynomials have non-negative degrees")
@@ -402,6 +428,8 @@ class TPoly(Sparse, Generic[R]):
     _coerce = staticmethod(_same)
     _key = staticmethod(_nonnegative_degree)
     _mul_key = staticmethod(add)
+    _order = staticmethod(neg)
+    _text = staticmethod(power_text("T"))
 
     @classmethod
     def constant(cls, c: R) -> "TPoly[R]":
@@ -422,26 +450,6 @@ class TPoly(Sparse, Generic[R]):
             term = c * t_value**deg
             total = term if total is None else total + term
         return 0 if total is None else total
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for deg in sorted(self._terms, reverse=True):
-            c = self._terms[deg]
-            mono = "" if deg == 0 else ("T" if deg == 1 else f"T^{deg}")
-            text = str(c)
-            if mono:
-                if text == "1":
-                    text = mono
-                elif text == "-1":
-                    text = f"-{mono}"
-                elif " " in text or "+" in text.strip("-"):
-                    text = f"({text})*{mono}"
-                else:
-                    text = f"{text}*{mono}"
-            parts.append(text)
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def matrix_rank(rows: Iterable[Iterable]) -> int:

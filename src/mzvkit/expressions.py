@@ -86,11 +86,6 @@ class BinOp(Node):
     pos: int = field(default=0, compare=False)
 
 
-def same_structure(a: Node, b: Node) -> bool:
-    """Structural equality ignoring source positions (node ``==`` skips them)."""
-    return a == b
-
-
 def _weighted_words(u: words.Word, v: words.Word, weight) -> LinComb:
     return mixable_shuffle(u.letters, v.letters, weight).map_basis(words.Word)
 

@@ -17,7 +17,7 @@ from typing import Callable, TypeVar
 
 from . import compositions as comp
 from . import words
-from .core import DomainError, LinComb, bilinear, mixable_shuffle
+from .core import DomainError, LinComb, mixable_shuffle
 
 T = TypeVar("T")
 
@@ -55,10 +55,6 @@ def product(a: TensorWord, b: TensorWord) -> LinComb[TensorWord]:
     first = a.exponents[0] + b.exponents[0]
     tails = mixable_shuffle(a.exponents[1:], b.exponents[1:])
     return tails.map_basis(lambda t: TensorWord((first,) + t))
-
-
-def product_lin(a: LinComb[TensorWord], b: LinComb[TensorWord]) -> LinComb[TensorWord]:
-    return bilinear(product, a, b)
 
 
 def nest(t: TensorWord) -> TensorWord:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import mpmath
 
 from .compositions import BiComposition, Composition
-from .core import DomainError, Sparse, TPoly
+from .core import DomainError, Sparse, TPoly, power_text
 
 
 class PrecisionError(ArithmeticError):
@@ -114,22 +114,7 @@ class LaurentPoly(Sparse):
     __slots__ = ()
 
     _mul_key = staticmethod(operator.add)
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for exp, c in sorted(self._terms.items()):
-            mono = "" if exp == 0 else ("eps" if exp == 1 else f"eps^{exp}")
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+    _text = staticmethod(power_text("eps"))
 
 
 def pole_part(f: LaurentPoly) -> LaurentPoly:

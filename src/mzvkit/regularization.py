@@ -66,6 +66,14 @@ def _monomial_product(m1: Monomial, m2: Monomial) -> Monomial:
     return _monomial(m1 + m2)
 
 
+def _monomial_order(m: Monomial):
+    return (len(m), [s.sort_key() for s in m])
+
+
+def _monomial_text(m: Monomial) -> str:
+    return "*".join(map(str, m))
+
+
 class ZetaExpr(Sparse):
     """Commutative polynomial in MZV symbols with exact rational coefficients.
 
@@ -77,6 +85,8 @@ class ZetaExpr(Sparse):
 
     _key = staticmethod(_monomial)
     _mul_key = staticmethod(_monomial_product)
+    _order = staticmethod(_monomial_order)
+    _text = staticmethod(_monomial_text)
 
     @classmethod
     def scalar(cls, c) -> "ZetaExpr":
@@ -93,28 +103,6 @@ class ZetaExpr(Sparse):
         return cls({(sym,): 1})
 
     monomials = Sparse.items
-
-    def sorted_monomials(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(
-            self._terms.items(),
-            key=lambda kv: (len(kv[0]), [s.sort_key() for s in kv[0]]),
-        )
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_monomials():
-            factors = "*".join(str(s) for s in mono)
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(factors)
-            elif coeff == -1:
-                parts.append(f"-{factors}")
-            else:
-                parts.append(f"{coeff}*{factors}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def _t_times(p: TPoly) -> TPoly:
@@ -334,10 +322,6 @@ class RhoMap:
     delta: tuple
     ctx: PrecisionContext
 
-    @property
-    def order(self) -> int:
-        return len(self.gamma) - 1
-
 
 def build_rho(order: int, ctx: PrecisionContext = DEFAULT_CTX) -> RhoMap:
     if order < 0:
@@ -555,7 +539,7 @@ def reg_poly_to_json(p: TPoly) -> str:
                     "symbols": [list(sym.index.entries) for sym in mono],
                     "coeff": fraction_str(coeff),
                 }
-                for mono, coeff in expr.sorted_monomials()
+                for mono, coeff in expr.sorted_items()
             ]
         }
         for deg, expr in sorted(p.items())

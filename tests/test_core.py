@@ -100,6 +100,14 @@ class TestLinComb:
         c = LinComb({(0, 1): Fraction(2), (1,): Fraction(-1)})
         assert str(c) == "-(1,) + 2*(0, 1)"
 
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({"a": Fraction(-3, 4), "b": Fraction(-1)}, "-3/4*a - b"),
+        ({"b": 1, 2: 3, "a": -1}, "b + 3*2 - a"),  # str and int keys do not compare: stored order
+    ])
+    def test_str_rows(self, terms, text):
+        assert str(LinComb(terms)) == text
+
 
 def all_int(combo):
     return all(type(c) is int for _, c in combo.items())
@@ -368,6 +376,15 @@ class TestTPoly:
     def test_str(self):
         p = TPoly({2: Fraction(1, 2), 0: Fraction(-1)})
         assert str(p) == "1/2*T^2 - 1"
+
+    @pytest.mark.parametrize("terms, text", [
+        ({}, "0"),
+        ({1: 1.0}, "1.0*T"),
+        ({0: 2.5, 2: -1.0, 1: -0.5}, "-1.0*T^2 - 0.5*T + 2.5"),
+        ({3: Fraction(-2, 3), 1: Fraction(-1)}, "-2/3*T^3 - T"),
+    ])
+    def test_str_rows(self, terms, text):
+        assert str(TPoly(terms)) == text
 
 
 class TestMatrixRank:

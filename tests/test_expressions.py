@@ -21,7 +21,6 @@ from mzvkit.expressions import (
     evaluate,
     node_kind,
     parse,
-    same_structure,
     to_text,
 )
 from mzvkit.free_rba import TensorWord
@@ -67,7 +66,7 @@ class TestParse:
     def test_whitespace_insensitive(self):
         a = parse("sh( [1] ,[ 2 ] )")
         b = parse("sh([1],[2])")
-        assert same_structure(a, b)
+        assert a == b
 
     def test_node_equality_ignores_positions(self):
         assert parse("sh( [1] ,[ 2 ] )") == parse("sh([1],[2])")
@@ -256,11 +255,11 @@ class TestRoundTrip:
             count += 1
             text = to_text(node)
             reparsed = parse(text)
-            assert same_structure(node, reparsed), text
+            assert node == reparsed, text
         assert count > 200
 
     def test_specific_round_trips(self):
         for text in ("sh([1], [2])", "msh(1/2; [1], [2])", "2*[1,1] + [2]",
                      "f((0,1))", "st([1,2 | 1,0], [1 | 1])"):
             node = parse(text)
-            assert same_structure(node, parse(to_text(node)))
+            assert node == parse(to_text(node))

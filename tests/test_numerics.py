@@ -390,6 +390,14 @@ class TestKernelSeries:
         assert kernel.coeff(-1) == -1
         assert kernel.coeff(0) == Fraction(-1, 2)
 
+    @pytest.mark.parametrize("value, text", [
+        (geometric_kernel(2), "-eps^-1 - 1/2 - 1/12*eps"),
+        (LaurentPoly(), "0"),
+        (LaurentPoly({2: Fraction(-5, 7), 0: 1, 1: -1}), "1 - eps - 5/7*eps^2"),
+    ])
+    def test_str(self, value, text):
+        assert str(value) == text
+
     def test_identity_is_exact(self):
         for order in (0, 1, 5, 8, 12):
             assert geometric_kernel_check(order) == 0

@@ -73,6 +73,14 @@ class TestZetaExpr:
         b = ZetaExpr.symbol(C(2)) * ZetaExpr.symbol(C(3))
         assert a == b
 
+    def test_str_rows(self):
+        z2, z21 = ZetaExpr.symbol(C(2)), ZetaExpr.symbol(C(2, 1))
+        assert str(ZetaExpr()) == "0"
+        assert str(z2 * z2 - z21.scale(Fraction(3, 2)) + ZetaExpr.scalar(Fraction(-1, 3))) == (
+            "-1/3 - 3/2*ζ(2,1) + ζ(2)*ζ(2)"
+        )
+        assert str(-z2 - ZetaExpr.one()) == "-1 - ζ(2)"
+
 
 class TestShuffleRegularization:
     def test_divergent_generator(self):
@@ -317,18 +325,19 @@ class TestDepthOrder:
         assert relation_rank(weight) == (expected, len(basis) - expected)
 
 
-# sha256 prefixes of `mzvkit eds --weight w --format csv|json` on stdout,
-# recorded before the products of a relation table shared their work
+# sha256 prefixes of `mzvkit eds --weight w --format csv|json|text` on stdout;
+# csv and json recorded before the products of a relation table shared their
+# work, text before one renderer wrote every sparse sum
 EDS_DIGESTS = {
-    (2, "csv"): "7574108bd8ceb43b", (2, "json"): "37517e5f3dc66819",
-    (3, "csv"): "7c431ee061b0dc23", (3, "json"): "84acd6f21805d163",
-    (4, "csv"): "54206bc0cc1c3c14", (4, "json"): "72afa0936aa954f6",
-    (5, "csv"): "d4e6267064e784a3", (5, "json"): "ab0e2a3cb38251c5",
-    (6, "csv"): "d635c98a833fd2a8", (6, "json"): "85fda1dedff929b8",
-    (7, "csv"): "2e29e97e78b428d9", (7, "json"): "7b20732d30bbfe0d",
-    (8, "csv"): "7c6181b05548da9b", (8, "json"): "c31f442815a0e18a",
-    (9, "csv"): "8128dfaa5e0c41c6", (9, "json"): "562f822f2f75f5cb",
-    (10, "csv"): "7ee147166005fa88", (10, "json"): "0cb37afd1c1e9daf",
+    (2, "csv"): "7574108bd8ceb43b", (2, "json"): "37517e5f3dc66819", (2, "text"): "c8a8b8273d2f5d87",
+    (3, "csv"): "7c431ee061b0dc23", (3, "json"): "84acd6f21805d163", (3, "text"): "7516651c55d7eb4b",
+    (4, "csv"): "54206bc0cc1c3c14", (4, "json"): "72afa0936aa954f6", (4, "text"): "d1cc40989071f101",
+    (5, "csv"): "d4e6267064e784a3", (5, "json"): "ab0e2a3cb38251c5", (5, "text"): "bf0ba3f441ce7709",
+    (6, "csv"): "d635c98a833fd2a8", (6, "json"): "85fda1dedff929b8", (6, "text"): "6e5bdfb84be3ed27",
+    (7, "csv"): "2e29e97e78b428d9", (7, "json"): "7b20732d30bbfe0d", (7, "text"): "0e014a0165bca177",
+    (8, "csv"): "7c6181b05548da9b", (8, "json"): "c31f442815a0e18a", (8, "text"): "eced0e26068e179a",
+    (9, "csv"): "8128dfaa5e0c41c6", (9, "json"): "562f822f2f75f5cb", (9, "text"): "9bed31a3915b0239",
+    (10, "csv"): "7ee147166005fa88", (10, "json"): "0cb37afd1c1e9daf", (10, "text"): "8094bb77215881ca",
 }
 
 
@@ -347,7 +356,7 @@ class TestSharedTable:
         assert [list(rel.terms.items()) for rel in table] == [list(diff.items()) for _, diff in rebuilt]
 
     @pytest.mark.parametrize("weight", range(2, 11))
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_eds_bytes_unchanged(self, capsys, weight, fmt):
         _relation_table.cache_clear()
         assert cli.main(["eds", "--weight", str(weight), "--format", fmt]) == 0
@@ -452,7 +461,7 @@ def _reference_reg_poly_json(p):
         f"T^{deg}": {
             "monomials": [
                 {"symbols": [list(sym.index.entries) for sym in mono], "coeff": fraction_str(coeff)}
-                for mono, coeff in expr.sorted_monomials()
+                for mono, coeff in expr.sorted_items()
             ]
         }
         for deg, expr in sorted(p.items())
@@ -521,6 +530,11 @@ class TestExports:
         assert str(shuffle_regularize(C(1, 2))) == "ζ(2)*T - 2*ζ(2,1)"
         assert str(shuffle_regularize(C(1))) == "T"
         assert str(stuffle_regularize(C(1, 1))) == "1/2*T^2 - 1/2*ζ(2)"
+
+    def test_reg_poly_str_parenthesises_a_compound_coefficient(self):
+        assert str(stuffle_regularize(C(1, 1, 2))) == (
+            "1/2*ζ(2)*T^2 + (-ζ(3) - ζ(2,1))*T + 1/2*ζ(4) + ζ(3,1) + ζ(2,1,1)"
+        )
 
     def test_fraction_str(self):
         assert fraction_str(Fraction(-2)) == "-2/1"
