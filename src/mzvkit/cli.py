@@ -101,7 +101,7 @@ def _cmd_eval(args) -> int:
     if args.format == "text":
         _emit(args, str(value))
     elif args.format == "json":
-        _emit(args, reg.to_json(_value_json(value)))
+        _emit(args, json.dumps(_value_json(value), indent=2))
     else:
         _emit(args, _value_csv(value))
     return 0
@@ -143,8 +143,7 @@ def _cmd_regularize(args, shuffle_side: bool) -> int:
         lines = ["t_degree,monomial,coefficient"]
         for deg, coeff in sorted(poly.items()):
             for mono, c in coeff.sorted_items():
-                label = "*".join(str(sym) for sym in mono) or "1"
-                lines.append(f"{deg},\"{label}\",{reg.fraction_str(c)}")
+                lines.append(f"{deg},\"{reg._monomial_text(mono) or '1'}\",{reg.fraction_str(c)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
         _emit(args, str(poly))

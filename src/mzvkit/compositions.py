@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from .core import DomainError, LinComb, bilinear, mixable_shuffle, shared_dict
 
@@ -234,20 +234,17 @@ def ones(n: int) -> Composition:
 
 
 def positive_compositions(weight: int) -> list[Composition]:
-    """All positive compositions of the given weight, in canonical order."""
-    if weight < 1:
-        return []
-    out: list[Composition] = []
+    """All positive compositions of the given weight, in canonical order.
 
-    def build(remaining: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(Composition(prefix))
-            return
-        for first in range(1, remaining + 1):
-            build(remaining - first, prefix + (first,))
-
-    build(weight, ())
-    return sorted(out, key=Composition.sort_key)
+    A composition of depth d cuts [0, weight] at d - 1 of the points
+    1..weight-1; ``combinations`` yields the cut sets in lexicographic order,
+    and so in lexicographic order of the entries they give.
+    """
+    return [
+        Composition(tuple(b - a for a, b in zip((0, *cuts), (*cuts, weight))))
+        for depth in range(1, weight + 1)
+        for cuts in combinations(range(1, weight), depth - 1)
+    ]
 
 
 def convergent_compositions(weight: int) -> list[Composition]:
@@ -256,10 +253,10 @@ def convergent_compositions(weight: int) -> list[Composition]:
 
 
 def nonnegative_compositions(max_weight: int, max_depth: int) -> list[Composition]:
-    """Compositions with entries >= 0, bounded entry sum and bounded depth."""
+    """Compositions with entries >= 0, bounded entry sum and bounded depth, in canonical order."""
     out: list[Composition] = []
     for length in range(1, max_depth + 1):
         for entries in iter_product(range(max_weight + 1), repeat=length):
             if sum(entries) <= max_weight:
                 out.append(Composition(entries))
-    return sorted(out, key=Composition.sort_key)
+    return out

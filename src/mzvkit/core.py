@@ -187,9 +187,9 @@ class Sparse:
         """Terms in ``sorted_items`` order joined by `` + `` (``"0"`` if none).
 
         A term is ``c`` for the unit key, ``mono`` or ``-mono`` for c = ±1,
-        ``(c)*mono`` if the text of c is a sum (it has a space or an inner
-        ``+``, as a :class:`~mzvkit.regularization.ZetaExpr` may) and
-        ``c*mono`` otherwise; ``+ -`` is written ``- ``.
+        ``(c)*mono`` if the text of c is a sum (it has a space, as the
+        `` + ``-joined text of a :class:`~mzvkit.regularization.ZetaExpr`
+        with two terms does) and ``c*mono`` otherwise; ``+ -`` is written ``- ``.
         """
         parts, text_of = [], self._text
         for key, c in self.sorted_items():
@@ -199,7 +199,7 @@ class Sparse:
                     text = mono
                 elif text == "-1":
                     text = f"-{mono}"
-                elif " " in text or "+" in text.strip("-"):
+                elif " " in text:
                     text = f"({text})*{mono}"
                 else:
                     text = f"{text}*{mono}"

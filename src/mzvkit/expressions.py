@@ -14,7 +14,8 @@ Grammar (whitespace insensitive)::
 
 The calls are the rows of ``_CALLS``, one per accepted (name, argument
 kinds) signature, each holding the function that computes it: sh, st and
-msh (the mixable shuffle at the weight given first), the operators I, I0
+msh (the mixable shuffle at the weight given first, on compositions and
+two-row symbols: letters of a word do not merge), the operators I, I0
 and Px, and the maps eta, f and phi.  Kinds are checked at parse time;
 ``*`` multiplies a term by a rational only.
 """
@@ -86,10 +87,6 @@ class BinOp(Node):
     pos: int = field(default=0, compare=False)
 
 
-def _weighted_words(u: words.Word, v: words.Word, weight) -> LinComb:
-    return mixable_shuffle(u.letters, v.letters, weight).map_basis(words.Word)
-
-
 def _weighted_compositions(u: comp.Composition, v: comp.Composition, weight) -> LinComb:
     return mixable_shuffle(u.entries, v.entries, weight, comp._add_entries).map_basis(comp.Composition)
 
@@ -104,7 +101,6 @@ _CALLS: dict[tuple[str, ...], Callable] = {
     ("sh", TENSOR, TENSOR): frba.product,
     ("st", COMPOSITION, COMPOSITION): comp.stuffle,
     ("st", BICOMPOSITION, BICOMPOSITION): comp.bistuffle,
-    ("msh", SCALAR, WORD, WORD): _weighted_words,
     ("msh", SCALAR, COMPOSITION, COMPOSITION): _weighted_compositions,
     ("msh", SCALAR, BICOMPOSITION, BICOMPOSITION): comp._column_shuffle,
     ("I", COMPOSITION): comp.raise_first,

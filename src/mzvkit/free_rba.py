@@ -152,4 +152,4 @@ def graded_basis(m: int) -> list[TensorWord]:
                 build(remaining - n, slots_left - 1, prefix + (n,))
 
         build(total, k, ())
-    return sorted(out, key=TensorWord.sort_key)
+    return out

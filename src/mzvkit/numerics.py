@@ -292,7 +292,8 @@ def _direct_series(prefix: tuple[int, ...], entries: tuple[int, ...], weights: l
     weight meant, which moves a_m U(m) by at most (e^(m drift) - 1) a_m U(m)
     <= m drift e^(m drift) a_m U(m): by drift e^(N drift) sum_{m<=N} m a_m U(m)
     up to N, and by drift T _tail(r e^drift, p + 1, N) past it, doubled for
-    float evaluation.  A total over ``ctx.tolerance`` raises ``PrecisionError``.
+    float evaluation.  Rounding the fixed-point sum to float64 adds up to
+    2^-53 of the value.  A total over ``ctx.tolerance`` raises ``PrecisionError``.
     """
     power = len(entries) - 1 - entries[0] + sum(max(0, -s) for s in entries[1:])
     rate = max(map(abs, weights))
@@ -310,10 +311,12 @@ def _direct_series(prefix: tuple[int, ...], entries: tuple[int, ...], weights: l
     moments, value = _sweep([UP] + vector + levels, terms, scale)[:2]
     moved = drift and (math.exp(terms * drift) * (moments + units * terms) / 2**scale
                        + top * _tail(rate * math.exp(drift), power + 1, terms))
+    result = value / (1 << scale)
     bound = top * _tail(rate, power, terms) + units / 2**scale + 2 * drift * moved
+    bound += 2.0**-53 * abs(result)
     if not bound <= ctx.tolerance:
         raise PrecisionError(f"series bound {bound:.3g} over tolerance {ctx.tolerance}")
-    return value / (1 << scale)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,8 @@ def li_eval(s: Composition, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> fl
 
     The direct series with every weight z (``_direct_series``), summed to
     min(tolerance, 2^-56) where the budget allows; ``digits`` is not honoured
-    past float64.
+    past float64, and a tolerance below the float64 rounding of the value
+    (2^-53 of it) raises ``PrecisionError``.
     """
     if not abs(z) < 1:
         raise DomainError(f"polylogarithm needs |z| < 1, got {z}")

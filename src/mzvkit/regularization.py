@@ -17,6 +17,7 @@ dimension.  The CSV and JSON exports close the module.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -320,7 +321,6 @@ class RhoMap:
 
     gamma: tuple
     delta: tuple
-    ctx: PrecisionContext
 
 
 def build_rho(order: int, ctx: PrecisionContext = DEFAULT_CTX) -> RhoMap:
@@ -342,7 +342,7 @@ def build_rho(order: int, ctx: PrecisionContext = DEFAULT_CTX) -> RhoMap:
         for j in range(1, m + 1):
             acc -= gamma[j] * delta[m - j]
         delta.append(acc)
-    return RhoMap(tuple(gamma), tuple(delta), ctx)
+    return RhoMap(tuple(gamma), tuple(delta))
 
 
 def rho_apply(p: TPoly, rho: RhoMap) -> TPoly:
@@ -406,88 +406,30 @@ def fraction_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def to_json(data) -> str:
-    """``json.dumps(data, indent=2)``, written directly.
+def _piece(texts: dict, s: Composition, render) -> tuple:
+    """(sort key, ``render(s)``) of ``s``, kept in ``texts`` by its entries.
 
-    Accepts lists, dicts with ``str`` keys, ``int`` and ``str``, nested in
-    any way, and raises ``TypeError`` on anything else (``bool``, ``float``,
-    ``None`` and tuples included).  The text is byte-identical to the
-    standard encoder's for these shapes: strings are escaped by
-    ``json.encoder.encode_basestring_ascii``.  With ``indent`` set,
-    ``json.dumps`` falls back to its pure-Python encoder, which dominates
-    the relation exports.
+    ``texts`` lives for one export, so each composition is rendered once per call.
     """
-    parts: list[str] = []
-    _write_json(data, "\n", parts.append)
-    return "".join(parts)
-
-
-def _write_json(value, newline: str, out) -> None:
-    kind = type(value)
-    if kind is str:
-        out(encode_basestring_ascii(value))
-    elif kind is int:
-        out(int.__repr__(value))
-    elif kind is list:
-        if not value:
-            out("[]")
-            return
-        inner = newline + "  "
-        if all(type(item) is int for item in value):
-            out("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out(sep)
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "]")
-    elif kind is dict:
-        if not value:
-            out("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            out(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(item, inner, out)
-            sep = "," + inner
-        out(newline + "}")
-    else:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    piece = texts.get(s.entries)
+    if piece is None:
+        piece = texts[s.entries] = (s.sort_key(), render(s))
+    return piece
 
 
 def _sorted_terms(rel: Relation, texts: dict, render) -> list:
-    """The terms of ``rel`` in canonical order, as (``render(s)``, coefficient).
-
-    ``texts`` keeps the sort key and the text of each composition, by its
-    entries, for the length of one export, so each is made once per call.
-    """
-    pieces = []
-    for s, c in rel.terms.items():
-        piece = texts.get(s.entries)
-        if piece is None:
-            piece = texts[s.entries] = (s.sort_key(), render(s))
-        pieces.append((piece, c))
-    pieces.sort()  # the keys of one relation differ, so coefficients are never compared
+    """The terms of ``rel`` in canonical order, as (``render(s)``, coefficient)."""
+    # the keys of one relation differ, so coefficients are never compared
+    pieces = sorted([(_piece(texts, s, render), c) for s, c in rel.terms.items()])
     return [(text, c) for (_, text), c in pieces]
 
 
 def relations_to_csv(relations: Iterable[Relation]) -> str:
     lines = ["weight,source_pair,term_composition,coefficient"]
     texts: dict = {}
-    names: dict[Composition, str] = {}
-
-    def name(s: Composition) -> str:
-        text = names.get(s)
-        if text is None:
-            text = names[s] = str(s)
-        return text
-
     for rel in relations:
-        prefix = f"{rel.weight},{name(rel.source[0])};{name(rel.source[1])},"
+        u, v = (_piece(texts, s, str)[1] for s in rel.source)
+        prefix = f"{rel.weight},{u};{v},"
         for text, coeff in _sorted_terms(rel, texts, str):
             lines.append(f"{prefix}{text},{fraction_str(coeff)}")
     return "\n".join(lines) + "\n"
@@ -500,12 +442,14 @@ def _entry_list(s: Composition, newline: str) -> str:
 
 
 def relations_to_json(relations: Iterable[Relation]) -> str:
-    """``to_json`` of the relation records, written from cached fragments.
+    """``json.dumps(records, indent=2)``, written from cached fragments.
 
     Each record is ``{"weight", "source_pair", "terms"}`` with compositions
     as entry lists and coefficients as ``fraction_str`` strings.  The text of
     each term composition and of each coefficient is made once per call; the
-    record skeleton around them is fixed.
+    record skeleton around them is fixed.  This is the one hand-written JSON
+    encoder: relation tables are large, and with ``indent`` set
+    ``json.dumps`` falls back to its pure-Python encoder.
     """
     texts: dict = {}
     coeffs: dict = {}
@@ -544,4 +488,4 @@ def reg_poly_to_json(p: TPoly) -> str:
         }
         for deg, expr in sorted(p.items())
     }
-    return to_json(data)
+    return json.dumps(data, indent=2)

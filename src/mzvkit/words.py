@@ -154,4 +154,4 @@ def words_of_degree(m: int, convergent_only: bool = False) -> list[Word]:
         if convergent_only and not w.is_convergent:
             continue
         out.append(w)
-    return sorted(out, key=Word.sort_key)
+    return out

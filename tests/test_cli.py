@@ -92,6 +92,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "li", "[1]", "0.99999", "--budget", "1000", "--tol", "1e-12")
         assert code == 3 and "precision" in err.lower()
 
+    def test_tolerance_below_float_rounding_is_3(self, capsys):
+        code, out, err = run(capsys, "li", "[1]", "0.9", "--tol", "1e-30")
+        assert code == 3 and out == ""
+        assert err.startswith("precision failure:")
+
     @pytest.mark.parametrize("argv", [["zeta", "3"], ["li", "[1]", "0.5"]])
     def test_infinite_tolerance_is_1(self, capsys, argv):
         code, out, err = run(capsys, *argv, "--tol", "inf")

@@ -19,6 +19,7 @@ from mzvkit.compositions import (
 )
 from mzvkit.core import DomainError, LinComb, bilinear
 from mzvkit.free_rba import graded_basis, to_composition as tensor_to_composition
+from mzvkit.words import words_of_degree
 
 
 def C(*entries):
@@ -290,6 +291,24 @@ class TestEnumerators:
     def test_positive_counts(self):
         for w in range(1, 9):
             assert len(positive_compositions(w)) == 2 ** (w - 1)
+
+    def test_canonical_order(self):
+        # the enumerators build their lists in canonical order without sorting;
+        # seeded draws and the relation tables depend on that order
+        for w in range(1, 11):
+            lists = [
+                positive_compositions(w),
+                convergent_compositions(w),
+                nonnegative_compositions(w, min(w, 4)),
+                words_of_degree(w),
+                words_of_degree(w, convergent_only=True),
+                graded_basis(w),
+            ]
+            for items in lists:
+                assert items == sorted(items, key=lambda x: x.sort_key()), (w, items[:3])
+                assert len(set(items)) == len(items)
+            assert all(sum(s.entries) == w and min(s.entries) >= 1 for s in lists[0])
+            assert len(lists[0]) == 2 ** (w - 1)
 
     def test_convergent_counts(self):
         for w in range(2, 9):

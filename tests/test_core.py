@@ -382,6 +382,9 @@ class TestTPoly:
         ({1: 1.0}, "1.0*T"),
         ({0: 2.5, 2: -1.0, 1: -0.5}, "-1.0*T^2 - 0.5*T + 2.5"),
         ({3: Fraction(-2, 3), 1: Fraction(-1)}, "-2/3*T^3 - T"),
+        # an exponent sign is not a sum: only a text with a space is parenthesised
+        ({1: 1e20, 0: -2.5e-7}, "1e+20*T - 2.5e-07"),
+        ({2: -1.5e-300, 1: 3.25}, "-1.5e-300*T^2 + 3.25*T"),
     ])
     def test_str_rows(self, terms, text):
         assert str(TPoly(terms)) == text

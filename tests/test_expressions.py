@@ -104,7 +104,7 @@ _CHANGES_KIND = {"eta": COMPOSITION, "f": WORD, "phi": COMPOSITION}
 
 class TestSignatureTable:
     def test_rows(self):
-        assert len(_CALLS) == 14
+        assert len(_CALLS) == 13
         assert {key[0] for key in _CALLS} == {"sh", "st", "msh", "I", "I0", "Px", "eta", "f", "phi"}
 
     @pytest.mark.parametrize("key", list(_CALLS), ids=lambda key: "-".join(key))
@@ -132,6 +132,12 @@ class TestSignatureTable:
         with pytest.raises(KindError) as err:
             parse("msh(x1; [1], [1])")
         assert "(scalar, composition, composition)" in str(err.value)
+        with pytest.raises(KindError) as err:  # letters of a word do not merge
+            parse("msh(1/2; x0x1, x1)")
+        assert str(err.value) == (
+            "msh is not defined on (scalar, word, word); it accepts "
+            "(scalar, composition, composition), (scalar, bicomposition, bicomposition)"
+        )
 
     def test_unknown_call_built_by_hand(self):
         with pytest.raises(KindError, match="unknown function"):
@@ -175,7 +181,7 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(parse("st([0],[1])"))
         with pytest.raises(DomainError):
-            evaluate(parse("I0(msh(0; x1x0, x1))"))
+            evaluate(parse("I0(sh(x1x0, x1))"))
 
     def test_referential_transparency(self):
         node = parse("sh([1],[2]) + 2*st([1],[1])")

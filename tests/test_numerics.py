@@ -157,6 +157,14 @@ class TestPolylog:
         with pytest.raises(PrecisionError):
             li_eval(C(1), 0.99999, cramped)
 
+    @pytest.mark.parametrize("tol", [1e-30, 1e-16])
+    def test_tolerance_below_float_rounding(self, tol):
+        # Li_1(0.9) = 2.30...: its float64 rounding alone may cost 2^-53 of it, about 2.6e-16
+        with pytest.raises(PrecisionError):
+            li_eval(C(1), 0.9, PrecisionContext(digits=20, budget=200_000, tolerance=tol))
+        assert li_eval(C(1), 0.9, PrecisionContext(digits=20, budget=200_000, tolerance=1e-15)) \
+            == pytest.approx(math.log(10), abs=1e-15)
+
 
 class TestMzv:
     def test_euler_depth_two(self):

@@ -38,7 +38,6 @@ from mzvkit.regularization import (
     rho_apply,
     shuffle_regularize,
     stuffle_regularize,
-    to_json,
 )
 from mzvkit.verification import regularization_checks
 
@@ -498,18 +497,6 @@ class TestExportReference:
             for s in positive_compositions(weight):
                 p = regularize(s)
                 assert reg_poly_to_json(p) == _reference_reg_poly_json(p), s
-
-    @pytest.mark.parametrize("data", [
-        [], {}, 0, -12, "", "ζ(2) \"q\"\\\n\t\x01", [[], {}, [1, [2, []]]],
-        {"a": [], "b": {}, "c": {"d": [1, -2, "x"]}}, [{"k": 10**30}, "s", [3]],
-    ])
-    def test_to_json_matches_standard_encoder(self, data):
-        assert to_json(data) == json.dumps(data, indent=2)
-
-    @pytest.mark.parametrize("data", [1.5, True, None, (1, 2), [1, False], {1: "a"}, {"a": Fraction(1, 2)}])
-    def test_to_json_rejects_other_shapes(self, data):
-        with pytest.raises(TypeError):
-            to_json(data)
 
 
 class TestExports:
