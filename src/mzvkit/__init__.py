@@ -8,7 +8,7 @@ evaluation), :mod:`mzvkit.expressions` and :mod:`mzvkit.cli` (expression
 language and command line).
 """
 
-from .core import DomainError, LinComb, MergeUndefinedError, TPoly, bilinear, combine, matrix_rank, mixable_shuffle
+from .core import DomainError, LinComb, MergeUndefinedError, TPoly, bilinear, matrix_rank, mixable_shuffle
 from .compositions import BiComposition, Composition
 from .words import Word
 
@@ -21,7 +21,6 @@ __all__ = [
     "TPoly",
     "Word",
     "bilinear",
-    "combine",
     "matrix_rank",
     "mixable_shuffle",
 ]

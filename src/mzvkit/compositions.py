@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
 
-from .core import DomainError, LinComb, bilinear, mixable_shuffle, shared_dict
+from .core import DomainError, LinComb, _exact, bilinear, mixable_shuffle, shared_dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,14 +69,14 @@ class BiComposition:
     """Two-row symbol: integer top row, non-negative rational bottom row."""
 
     s_row: tuple[int, ...]
-    r_row: tuple[Fraction, ...]
+    r_row: tuple[Fraction | int, ...]
 
     def __post_init__(self):
         if not self.s_row:
             raise DomainError("bi-compositions are nonempty")
         if len(self.s_row) != len(self.r_row):
             raise DomainError("rows must have equal length")
-        object.__setattr__(self, "r_row", tuple(Fraction(r) for r in self.r_row))
+        object.__setattr__(self, "r_row", tuple(map(_exact, self.r_row)))
         if any(r < 0 for r in self.r_row):
             raise DomainError(f"direction entries must be >= 0: {self.r_row}")
 

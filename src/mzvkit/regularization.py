@@ -18,6 +18,7 @@ dimension.  The CSV and JSON exports close the module.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -360,13 +361,9 @@ def _apply_table(p: TPoly, table) -> TPoly:
         raise DomainError(
             f"polynomial degree {p.degree()} exceeds the table order {len(table) - 1}"
         )
-    out = TPoly()
-    for n, coeff in p.items():
-        falling = 1
-        for k in range(n + 1):
-            out = out + TPoly.t_power(n - k, coeff * table[k] * falling)
-            falling *= n - k
-    return out
+    return TPoly(
+        (n - k, coeff * table[k] * math.perm(n, k)) for n, coeff in p.items() for k in range(n + 1)
+    )
 
 
 def corollary_check(order: int, ctx: PrecisionContext = DEFAULT_CTX) -> float:

@@ -286,6 +286,17 @@ class TestBistuffle:
         with pytest.raises(DomainError):
             BiComposition.make([], [])
 
+    def test_r_row_coefficient_rule(self):
+        # floats become exact fractions; int and Fraction entries pass as they are
+        assert BiComposition.make([1], [0.5]).r_row == (Fraction(1, 2),)
+        assert type(BiComposition.make([1], [0.5]).r_row[0]) is Fraction
+        u = BiComposition.make([2, 1], [Fraction(1, 2), Fraction(0)])
+        v = BiComposition.make([1], [Fraction(1, 3)])
+        got = bistuffle(u, v)
+        assert got and all(type(r) is Fraction for term, _ in got.items() for r in term.r_row)
+        with pytest.raises(DomainError, match="direction entries must be >= 0"):
+            BiComposition.make([1, 2], [Fraction(1, 2), -0.25])
+
 
 class TestEnumerators:
     def test_positive_counts(self):

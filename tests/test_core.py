@@ -15,7 +15,6 @@ from mzvkit.core import (
     MergeUndefinedError,
     TPoly,
     bilinear,
-    combine,
     matrix_rank,
     mixable_shuffle,
 )
@@ -62,17 +61,17 @@ def add(x, y):
 class TestLinComb:
     def test_combine_collects_like_terms(self):
         a = LinComb({"w": 1})
-        assert combine(a, a, 1) == LinComb({"w": 2})
+        assert a.combine(a, 1) == LinComb({"w": 2})
 
     def test_combine_prunes_cancellation(self):
         a = LinComb({"w": 1})
-        assert combine(a, a, -1) == LinComb()
-        assert not combine(a, a, -1)
+        assert a.combine(a, -1) == LinComb()
+        assert not a.combine(a, -1)
 
     def test_combine_rational_arithmetic(self):
         a = LinComb({"u": Fraction(1, 2)})
         b = LinComb({"v": Fraction(1, 3)})
-        got = combine(a, b, 2)
+        got = a.combine(b, 2)
         assert got == LinComb({"u": Fraction(1, 2), "v": Fraction(2, 3)})
 
     def test_module_axioms_randomized(self):
@@ -146,8 +145,8 @@ class TestExactCoefficients:
 
     def test_only_non_integer_scalars_promote(self):
         x = LinComb({"a": 1})
-        assert all_int(x.scale(3)) and all_int(combine(x, x, -2))
-        for half in (x.scale(Fraction(1, 2)).coeff("a"), combine(LinComb(), x, 0.5).coeff("a")):
+        assert all_int(x.scale(3)) and all_int(x.combine(x, -2))
+        for half in (x.scale(Fraction(1, 2)).coeff("a"), LinComb().combine(x, 0.5).coeff("a")):
             assert type(half) is Fraction and half == Fraction(1, 2)
         assert type(mixable_shuffle((1,), (2,), Fraction(1, 2), add).coeff((3,))) is Fraction
         assert str(LinComb({"b": True})) == "b"
@@ -388,6 +387,101 @@ class TestTPoly:
     ])
     def test_str_rows(self, terms, text):
         assert str(TPoly(terms)) == text
+
+
+def _ref_add(acc, key, c):
+    """The reference pruned add: a key whose running sum is zero is dropped, so a later term starts afresh."""
+    if key in acc:
+        c = acc[key] + c
+    if c:
+        acc[key] = c
+    else:
+        acc.pop(key, None)
+
+
+def _ref_sum(*pair_lists):
+    acc = {}
+    for pairs in pair_lists:
+        for key, c in pairs:
+            _ref_add(acc, key, c)
+    return acc
+
+
+def _typed(terms):
+    """{key: (type, value)} of a sum or a reference dict, recursing into sum-valued coefficients."""
+    return {k: (type(c), _typed(c) if isinstance(c, core.Sparse) else c) for k, c in terms.items()}
+
+
+class TestPrunedAdd:
+    """Every sparse sum against a naive dict sum, on values and on the type of every coefficient."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_naive_dict_sum(self, seed):
+        from mzvkit.compositions import Composition
+        from mzvkit.numerics import LaurentPoly
+        from mzvkit.regularization import MZVSymbol, ZetaExpr
+
+        rng = random.Random(seed)
+        exact = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 4)]
+        mixed = exact + [1.0, -1.0, 0.5, -0.5, 0.1, -2.25, 1e20]
+        z2, z3, z21 = (MZVSymbol(Composition(e)) for e in ((2,), (3,), (2, 1)))
+        monomials = [(), (z2,), (z3,), (z21,), (z2, z2), (z2, z3)]
+
+        def draw(keys, coeffs, n_max=6):
+            return [(rng.choice(keys), coeffs()) for _ in range(rng.randint(0, n_max))]
+
+        def negate(c):
+            return -float(c) if isinstance(c, (int, Fraction)) and rng.random() < 0.5 else -c
+
+        def exact_c():
+            return rng.choice(exact)
+
+        def mixed_c():
+            return rng.choice(mixed)
+
+        def zeta_c():
+            return ZetaExpr(draw(monomials, exact_c, 3))
+
+        def monomial_product(m1, m2):
+            return tuple(sorted(m1 + m2, key=MZVSymbol.sort_key))
+
+        kinds = [
+            # (type, keys, coefficient draw, key of a product or None)
+            (LinComb, list("abcde"), exact_c, None),
+            (TPoly, [0, 1, 2, 3], mixed_c, add),
+            (LaurentPoly, [-2, -1, 0, 1, 2], exact_c, add),
+            (ZetaExpr, monomials, exact_c, monomial_product),
+            (TPoly, [0, 1, 2], zeta_c, add),
+        ]
+        for _ in range(25):
+            for cls, keys, coeff, mul_key in kinds:
+                pa, pb = draw(keys, coeff), draw(keys, coeff)
+                a = cls(pa)
+                assert _typed(a) == _typed(_ref_sum(pa))
+                # a share of the terms of a comes back negated, so some sums cancel
+                pb += [(k, negate(c)) for k, c in a.items() if rng.random() < 0.5]
+                rng.shuffle(pb)
+                b = cls(pb)
+                assert _typed(a + b) == _typed(_ref_sum(a.items(), b.items()))
+                assert _typed(a - b) == _typed(_ref_sum(a.items(), [(k, -c) for k, c in b.items()]))
+                if mul_key is not None:
+                    ref = _ref_sum([(mul_key(k1, k2), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()])
+                    assert _typed(a * b) == _typed(ref)
+                if cls is not LinComb:
+                    continue
+                s = rng.choice(exact + [0, 0.5])
+                exact_s = Fraction(s) if isinstance(s, float) else s
+                ref = _ref_sum(a.items(), [(k, c * exact_s) for k, c in b.items()] if s else [])
+                assert _typed(a.combine(b, s)) == _typed(ref)
+                images = {k: LinComb(draw(keys, coeff)) for k in keys}
+                ref = _ref_sum(*([(k2, c * c2) for k2, c2 in images[k].items()] for k, c in a.items()))
+                assert _typed(a.map_linear(images.__getitem__)) == _typed(ref)
+                table = {(u, v): LinComb(draw(keys, coeff)) for u in keys for v in keys}
+                ref = _ref_sum(*(
+                    [(w, cu * cv * cw) for w, cw in table[u, v].items()]
+                    for u, cu in a.items() for v, cv in b.items()
+                ))
+                assert _typed(bilinear(lambda u, v: table[u, v], a, b)) == _typed(ref)
 
 
 class TestMatrixRank:
