@@ -12,25 +12,38 @@ directional setting used by regularized MZVs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
+from operator import add
 
 from .core import DomainError, LinComb, _exact, bilinear, mixable_shuffle, shared_dict
 
 
 @dataclass(frozen=True, slots=True)
 class Composition:
-    """Finite nonempty sequence of integers >= 0."""
+    """Finite nonempty sequence of integers >= 0.
+
+    The hash is computed once, at construction, and kept in a hidden slot:
+    compositions are dict keys in every product and relation table.
+    """
 
     entries: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries:
             raise DomainError("compositions are nonempty")
         if min(self.entries) < 0:
             raise DomainError(f"composition entries must be >= 0: {self.entries}")
+        object.__setattr__(self, "_hash", hash(self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Composition, (self.entries,))
 
     @property
     def is_positive(self) -> bool:
@@ -75,10 +88,10 @@ class BiComposition:
         if not self.s_row:
             raise DomainError("bi-compositions are nonempty")
         if len(self.s_row) != len(self.r_row):
-            raise DomainError("rows must have equal length")
+            raise DomainError(f"rows must have equal length: {self}")
         object.__setattr__(self, "r_row", tuple(map(_exact, self.r_row)))
         if any(r < 0 for r in self.r_row):
-            raise DomainError(f"direction entries must be >= 0: {self.r_row}")
+            raise DomainError(f"direction entries must be >= 0: {self}")
 
     @classmethod
     def make(cls, s_row, r_row) -> "BiComposition":
@@ -184,13 +197,9 @@ def shuffle_lin(a: LinComb[Composition], b: LinComb[Composition]) -> LinComb[Com
     return bilinear(shuffle, a, b)
 
 
-def _add_entries(x: int, y: int) -> int:
-    return x + y
-
-
 @lru_cache(maxsize=8192)
 def _stuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
-    terms = mixable_shuffle(s, t, weight=1, merge=_add_entries)
+    terms = mixable_shuffle(s, t, weight=1, merge=add)
     by_entries = shared_dict("compositions.by_entries")
     if by_entries is None:
         return terms.map_basis(Composition)
@@ -233,23 +242,31 @@ def ones(n: int) -> Composition:
     return Composition((1,) * n)
 
 
-def positive_compositions(weight: int) -> list[Composition]:
-    """All positive compositions of the given weight, in canonical order.
+def _cut_compositions(weight: int, least_first: int) -> list[Composition]:
+    """The positive compositions of the weight whose first entry is >= least_first (>= 1).
 
     A composition of depth d cuts [0, weight] at d - 1 of the points
-    1..weight-1; ``combinations`` yields the cut sets in lexicographic order,
-    and so in lexicographic order of the entries they give.
+    least_first..weight-1; ``combinations`` yields the cut sets in
+    lexicographic order, and so in lexicographic order of the entries they
+    give.  Depth by depth, this is canonical order.
     """
+    if weight < least_first:
+        return []
     return [
         Composition(tuple(b - a for a, b in zip((0, *cuts), (*cuts, weight))))
-        for depth in range(1, weight + 1)
-        for cuts in combinations(range(1, weight), depth - 1)
+        for depth in range(1, weight - least_first + 2)
+        for cuts in combinations(range(least_first, weight), depth - 1)
     ]
 
 
+def positive_compositions(weight: int) -> list[Composition]:
+    """All positive compositions of the given weight, in canonical order."""
+    return _cut_compositions(weight, 1)
+
+
 def convergent_compositions(weight: int) -> list[Composition]:
-    """All convergent compositions of the given weight, in canonical order."""
-    return [s for s in positive_compositions(weight) if s.is_convergent]
+    """All convergent compositions (first entry >= 2) of the given weight, in canonical order."""
+    return _cut_compositions(weight, 2)
 
 
 def nonnegative_compositions(max_weight: int, max_depth: int) -> list[Composition]:

@@ -10,7 +10,8 @@ sit the generic mixable shuffle recursion that the word shuffle, the
 composition shuffle and both quasi-shuffle products instantiate, and the
 certified exact matrix rank.  Terms are added with zero sums dropped by one
 helper, :func:`_add_into`; only :meth:`LinComb.map_basis` (once per product
-term) and the shuffle recursion write that step out, to spare a generator.
+term) writes that step out, to spare a generator.  The shuffle recursion
+needs no pruning: its coefficients never cancel.
 Coefficients are ``int`` unless a non-integer scalar enters (:func:`_exact`).
 Values are immutable after construction and safe to share between threads.
 Inside a :func:`shared_products` block the products of the current thread
@@ -330,6 +331,14 @@ def mixable_shuffle(
     product at all.  A partial ``merge`` signals unsupported pairs by
     raising :class:`MergeUndefinedError`.
 
+    No coefficient is ever zero, so nothing is pruned.  A term t of the
+    result collects one contribution per placement of ``a`` and ``b`` that
+    gives it, each lam**k with k = len(a) + len(b) - len(t) merged slots: the
+    same k for every contribution, since k depends on t alone.  Its
+    coefficient is therefore (number of placements) * lam**k, a positive
+    multiple of a power of the exact nonzero lam (weight 0 has no merged
+    slots and k = 0), and no sum cancels for any lam.
+
     The memo of the recursion lives for one call, except inside a
     :func:`shared_products` block, where the calls of one (weight, merge)
     share it.  Only the relation table of a weight opens such a block.
@@ -348,11 +357,8 @@ def mixable_shuffle(
         cached = memo.get(key)
         if cached is not None:
             return cached
-        out: dict[tuple, Scalar] = {}
         head_x, head_y = (x[0],), (y[0],)
-        for tail, c in rec(x[1:], y).items():
-            t = head_x + tail
-            out[t] = out.get(t, 0) + c
+        out = {head_x + tail: c for tail, c in rec(x[1:], y).items()}  # distinct keys
         for tail, c in rec(x, y[1:]).items():
             t = head_y + tail
             out[t] = out.get(t, 0) + c
@@ -364,10 +370,7 @@ def mixable_shuffle(
             merged = (merge(x[0], y[0]),)
             for tail, c in rec(x[1:], y[1:]).items():
                 t = merged + tail
-                c = c * lam
-                if c:
-                    out[t] = out.get(t, 0) + c
-        out = {t: c for t, c in out.items() if c}
+                out[t] = out.get(t, 0) + c * lam
         memo[key] = out
         return out
 

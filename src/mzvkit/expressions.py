@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import add
 from typing import Callable
 
 from . import compositions as comp
@@ -88,7 +89,7 @@ class BinOp(Node):
 
 
 def _weighted_compositions(u: comp.Composition, v: comp.Composition, weight) -> LinComb:
-    return mixable_shuffle(u.entries, v.entries, weight, comp._add_entries).map_basis(comp.Composition)
+    return mixable_shuffle(u.entries, v.entries, weight, add).map_basis(comp.Composition)
 
 
 # (call, argument kinds) -> function on basis elements, extended bilinearly

@@ -213,12 +213,26 @@ class Relation:
         if not self.terms:
             raise DomainError("relations are nonzero")
         for basis in self.terms.support():
-            entries = basis.entries
-            if sum(entries) != self.weight or min(entries) < 1:
-                raise DomainError(f"relation not weight-{self.weight} homogeneous: {basis}")
+            _check_term(basis, self.weight)
+
+    @classmethod
+    def _checked(cls, terms: LinComb, weight: int, source) -> "Relation":
+        """The relation of nonzero terms that the caller has run through :func:`_check_term`."""
+        rel = object.__new__(cls)
+        for name, value in (("terms", terms), ("weight", weight), ("source", source)):
+            object.__setattr__(rel, name, value)
+        return rel
 
     def __str__(self) -> str:
         return str(self.terms)
+
+
+def _check_term(basis, weight: int) -> None:
+    """Raise :class:`DomainError` unless basis is a positive composition of the weight."""
+    if not isinstance(basis, Composition):
+        raise DomainError(f"relation terms are compositions: {basis!r}")
+    if basis.weight != weight or not basis.is_positive:
+        raise DomainError(f"relation not weight-{weight} homogeneous: {basis}")
 
 
 def double_shuffle_relations(weight: int) -> list[Relation]:
@@ -249,17 +263,24 @@ def _relation_table(weight: int) -> tuple[tuple[Relation, ...], int]:
     if weight < 2:
         raise DomainError("relations start at weight 2")
     out: list[Relation] = []
+    checked: set[Composition] = set()  # the products share their terms: check each once
+
+    def add_relation(w1: Composition, w2: Composition) -> None:
+        diff = shuffle(w1, w2) - stuffle(w1, w2)
+        if diff:
+            for term in diff.support():
+                if term not in checked:
+                    _check_term(term, weight)
+                    checked.add(term)
+            out.append(Relation._checked(diff, weight, (w1, w2)))
+
     with shared_products():  # the pairs overlap in most sub-products and terms
         for w1, w2 in _convergent_pairs(weight):
-            diff = shuffle(w1, w2) - stuffle(w1, w2)
-            if diff:
-                out.append(Relation(diff, weight, (w1, w2)))
+            add_relation(w1, w2)
         count = len(out)
         z1 = ones(1)
         for w2 in convergent_compositions(weight - 1):
-            diff = shuffle(z1, w2) - stuffle(z1, w2)
-            if diff:
-                out.append(Relation(diff, weight, (z1, w2)))
+            add_relation(z1, w2)
     return tuple(out), count
 
 
@@ -293,13 +314,13 @@ def relation_rank(weight: int) -> tuple[int, int]:
     depth-d columns: the matrix is block upper triangular by depth.
     """
     basis = sorted(convergent_compositions(weight), key=lambda s: -s.depth)
-    index = {s: i for i, s in enumerate(basis)}
+    index = {s.entries: i for i, s in enumerate(basis)}  # the table's terms are other objects
     rows = []
     relations = extended_double_shuffle_relations(weight)
     for rel in sorted(relations, key=lambda rel: -rel.source[0].depth - rel.source[1].depth):
         row = [0] * len(basis)
         for term, coeff in rel.terms.items():
-            col = index.get(term)
+            col = index.get(term.entries)
             if col is None:
                 raise AssertionError(f"relation escapes the convergent span: {term}")
             row[col] = coeff

@@ -111,6 +111,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("syntax error:") and f"offset {offset}" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1 | -1]", "error: direction entries must be >= 0: [1 | -1]\n"),
+        ("[1,2 | 1]", "error: rows must have equal length: [1,2 | 1]\n"),
+    ])
+    def test_two_row_error_writes_the_symbol(self, capsys, text, message):
+        code, out, err = run(capsys, "eval", text)
+        assert code == 1 and out == ""
+        assert err == message
+
     def test_closed_stdout_is_quiet(self):
         # `mzvkit eds --weight 9 --format json | head -1`: the reader leaves
         # after one line, long before the 300 kB of output are written

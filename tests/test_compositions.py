@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -77,6 +79,16 @@ class TestCompositionType:
 
     def test_str(self):
         assert str(C(2, 1)) == "[2,1]"
+
+    def test_equal_compositions_are_one_key(self):
+        # the hash is computed once and kept; equality still compares entries
+        s, t = C(2, 1), Composition((2, 1))
+        copies = [pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)]
+        for u in [t, *copies]:
+            assert u is not s and u == s and hash(u) == hash(s)
+            assert {s: "found"}[u] == "found" and {u: "found"}[s] == "found"
+            assert repr(u) == "Composition(entries=(2, 1))"
+        assert C(2, 1) != C(1, 2) and C(2, 1) != (2, 1)
 
 
 class TestExtendedShuffle:
@@ -325,6 +337,10 @@ class TestEnumerators:
         for w in range(2, 9):
             assert len(convergent_compositions(w)) == 2 ** (w - 2)
         assert convergent_compositions(1) == []
+
+    def test_convergent_is_the_filtered_positive_list(self):
+        for w in range(13):
+            assert convergent_compositions(w) == [s for s in positive_compositions(w) if s.is_convergent]
 
     def test_ones(self):
         assert ones(3) == C(1, 1, 1)

@@ -232,15 +232,18 @@ class TestMixableShuffle:
 
     def test_agrees_with_brute_force_oracle(self):
         # every pair of {1,2}-sequences with joint length <= 7, at three
-        # weights, each product once on its own and once inside one shared
-        # block, where the products of a weight share one memo
+        # weights, and with joint length <= 6 at two negative ones, where a
+        # cancellation (which the recursion does not prune) would show; each
+        # product once on its own and once inside one shared block, where
+        # the products of a weight share one memo
         cases = [
             (a, b, lam)
             for k in range(1, 7)
             for l in range(1, 8 - k)
             for a in product((1, 2), repeat=k)
             for b in product((1, 2), repeat=l)
-            for lam in (0, 1, Fraction(1, 2))
+            for lam in (0, 1, Fraction(1, 2), -1, Fraction(-1, 2))
+            if lam >= 0 or k + l <= 6
         ]
         with core.shared_products():
             shared = [mixable_shuffle(a, b, lam, add) for a, b, lam in cases]

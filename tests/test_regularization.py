@@ -7,6 +7,7 @@ import pytest
 
 from mzvkit import cli
 from mzvkit import compositions as comp
+from mzvkit import regularization as reg
 from mzvkit.compositions import (
     Composition,
     convergent_compositions,
@@ -40,6 +41,7 @@ from mzvkit.regularization import (
     stuffle_regularize,
 )
 from mzvkit.verification import regularization_checks
+from mzvkit.words import Word
 
 CTX = PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)
 
@@ -235,6 +237,22 @@ class TestRelations:
             Relation(LinComb(), 3, (C(1), C(2)))
         with pytest.raises(DomainError):
             Relation(LinComb({C(2): 1, C(2, 1): 1}), 3, (C(1), C(2)))
+        with pytest.raises(DomainError, match=r"relation terms are compositions: Word\(letters=\(0, 1\)\)"):
+            Relation(LinComb({C(2, 1): 1, Word((0, 1)): 1}), 3, (C(1), C(2)))
+
+    @pytest.mark.parametrize("extra, bad", [(C(2), r"\[2\]"), (C(0, 6), r"\[0,6\]")])
+    def test_table_checks_each_term(self, monkeypatch, extra, bad):
+        # the table checks each distinct term once, not through Relation(...)
+        def stuffle_with_extra(s, t):
+            return stuffle(s, t) + LinComb({extra: 1})
+
+        monkeypatch.setattr(reg, "stuffle", stuffle_with_extra)
+        _relation_table.cache_clear()
+        try:
+            with pytest.raises(DomainError, match=f"relation not weight-6 homogeneous: {bad}"):
+                _relation_table(6)
+        finally:
+            _relation_table.cache_clear()
 
 
 class TestRelationTable:
