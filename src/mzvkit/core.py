@@ -9,9 +9,9 @@ polynomials in MZV symbols and Laurent polynomials in eps.  Next to them
 sit the generic mixable shuffle recursion that the word shuffle, the
 composition shuffle and both quasi-shuffle products instantiate, and the
 certified exact matrix rank.  Terms are added with zero sums dropped by one
-helper, :func:`_add_into`; only :meth:`LinComb.map_basis` (once per product
-term) writes that step out, to spare a generator.  The shuffle recursion
-needs no pruning: its coefficients never cancel.
+helper, :func:`_add_into`; :meth:`LinComb.map_basis` needs it only when its
+basis map merges terms.  The shuffle recursion needs no pruning: its
+coefficients never cancel.
 Coefficients are ``int`` unless a non-integer scalar enters (:func:`_exact`).
 Values are immutable after construction and safe to share between threads.
 Inside a :func:`shared_products` block the products of the current thread
@@ -59,12 +59,13 @@ def _add_into(acc: dict, terms: Iterable[tuple], scale=None) -> dict:
     for key, c in terms:
         if scale is not None:
             c = scale * c
-        if key in acc:
-            c = acc[key] + c
+        prev = acc.get(key)  # coefficients are never None
+        if prev is not None:
+            c = prev + c
         if c:
             acc[key] = c
-        else:
-            acc.pop(key, None)
+        elif prev is not None:
+            del acc[key]
     return acc
 
 
@@ -81,7 +82,7 @@ class Sparse:
     sort key of a key for :meth:`sorted_items` and ``str`` (the key itself by
     default), and ``_text`` writes a key as a monomial, ``""`` for the unit
     key (``str`` by default).  All arithmetic adds terms with :func:`_add_into`
-    (:meth:`LinComb.map_basis` inlines it: it runs once per product term).
+    (:meth:`LinComb.map_basis` only when its basis map merges terms).
     Equality is term-set equality between values of the same type.
     Instances never mutate.
     """
@@ -245,17 +246,12 @@ class LinComb(Sparse, Generic[B]):
 
     def map_basis(self, f: Callable[[B], B]) -> "LinComb[B]":
         """Push the sum through a basis map, collecting collisions."""
-        # _add_into written out: this runs once per product term, where a generator is ~1.5x slower
-        acc: dict = {}
-        for basis, c in self._terms.items():
-            key = f(basis)
-            if key in acc:
-                c = acc[key] + c
-            if c:
-                acc[key] = c
-            else:
-                acc.pop(key, None)
-        return LinComb._new(acc)
+        terms = self._terms
+        keys = list(map(f, terms))
+        image = dict(zip(keys, terms.values()))
+        if len(image) < len(terms):  # f merges terms: add them up
+            image = _add_into({}, zip(keys, terms.values()))
+        return LinComb._new(image)
 
     def map_linear(self, f: Callable[[B], "LinComb"]) -> "LinComb":
         """Extend a basis-to-sum map linearly over self."""
@@ -427,20 +423,25 @@ def matrix_rank(rows: Iterable[Iterable]) -> int:
     """Exact rank over the rationals of a matrix given as row iterables.
 
     Entries are ints, ``Fraction`` values or anything ``Fraction`` converts
-    exactly; rows of unequal length raise :class:`DomainError`.  The rank is
-    computed modulo a prime and certified exactly: ``rank_p <= rank_Q`` holds
-    for every prime p, and ``rank_Q <= rank_p`` follows either from
-    ``rank_p = min(m, n)`` or from ``n - rank_p`` independent kernel vectors
-    whose product with the matrix is checked to be zero in exact integers.
-    No rank is returned without that certificate (see ``_certified_rank``).
+    exactly; rows of unequal length raise :class:`DomainError`.  The rows are
+    read once, from any iterable, and only their nonzero sparse integer forms
+    are kept.  The rank is computed modulo a prime and certified exactly:
+    ``rank_p <= rank_Q`` holds for every prime p, and ``rank_Q <= rank_p``
+    follows either from ``rank_p = min(m, n)`` or from ``n - rank_p``
+    independent kernel vectors whose product with the matrix is checked to be
+    zero in exact integers.  No rank is returned without that certificate
+    (see ``_certified_rank``).
     """
-    mat = [list(row) for row in rows]
-    for i, row in enumerate(mat):
-        if len(row) != len(mat[0]):
-            raise DomainError(
-                f"ragged matrix: row 0 has {len(mat[0])} entries, row {i} has {len(row)}"
-            )
-    return _certified_rank([_integer_row(row) for row in mat], len(mat[0]) if mat else 0)
+    nonzero, ncols = [], 0
+    for i, row in enumerate(rows):
+        row = list(row)
+        if not i:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise DomainError(f"ragged matrix: row 0 has {ncols} entries, row {i} has {len(row)}")
+        if entries := _integer_row(row):
+            nonzero.append(entries)
+    return _certified_rank(nonzero, ncols)
 
 
 def _integer_row(row: list) -> dict[int, int]:
@@ -453,7 +454,7 @@ def _integer_row(row: list) -> dict[int, int]:
 
 
 def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
-    """Rank over Q of the matrix with sparse integer rows and ``ncols`` columns.
+    """Rank over Q of the matrix with nonzero sparse integer rows and ``ncols`` columns.
 
     For each prime p of a fixed sequence, the rows are brought to echelon
     form mod p, which gives rank_p, the pivot columns and one kernel vector
@@ -469,7 +470,6 @@ def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
     and by Cramer's rule reconstruction returns the true kernel once the
     CRT modulus exceeds 2·H² for the Hadamard bound H of the matrix.
     """
-    rows = [row for row in rows if row]
     best: list[int] | None = None
     for p in _primes():
         a, pivots = _echelon(rows, ncols, p)
@@ -560,11 +560,10 @@ def _kernel(a, pivots: list[int], p: int) -> list[list[int]]:
     free = sorted(set(range(ncols)) - set(pivots))
     x = np.zeros((ncols, len(free)), dtype=np.int64)
     x[free, range(len(free))] = 1
-    minus = -a[:len(pivots)] % p
     for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
-        # at most ncols residues below 2**31 are summed: no int64 overflow
-        x[c] = (minus[i, c + 1:, None] * x[c + 1:] % p).sum(axis=0) % p
+        # at most ncols residues below 2**31 are summed: no int64 overflow; numpy % is >= 0
+        x[c] = -(a[i, c + 1:, None] * x[c + 1:] % p).sum(axis=0) % p
     return x[pivots].T.tolist()
 
 

@@ -315,17 +315,16 @@ def relation_rank(weight: int) -> tuple[int, int]:
     """
     basis = sorted(convergent_compositions(weight), key=lambda s: -s.depth)
     index = {s.entries: i for i, s in enumerate(basis)}  # the table's terms are other objects
-    rows = []
-    relations = extended_double_shuffle_relations(weight)
-    for rel in sorted(relations, key=lambda rel: -rel.source[0].depth - rel.source[1].depth):
-        row = [0] * len(basis)
+
+    def row(rel: Relation) -> list:
+        dense = [0] * len(basis)
         for term, coeff in rel.terms.items():
-            col = index.get(term.entries)
-            if col is None:
-                raise AssertionError(f"relation escapes the convergent span: {term}")
-            row[col] = coeff
-        rows.append(row)
-    rank = matrix_rank(rows) if rows else 0
+            dense[index[term.entries]] = coeff
+        return dense
+
+    relations = extended_double_shuffle_relations(weight)
+    relations.sort(key=lambda rel: -rel.source[0].depth - rel.source[1].depth)
+    rank = matrix_rank(map(row, relations)) if relations else 0  # weight 2 has no relations
     return rank, len(basis) - rank
 
 

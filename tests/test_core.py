@@ -136,6 +136,7 @@ class TestExactCoefficients:
         seen = []
 
         def spy(rows):
+            rows = list(rows)  # relation_rank passes a one-shot iterator
             seen.extend(rows)
             return matrix_rank(rows)
 
@@ -574,6 +575,52 @@ class TestMatrixRank:
             matrix_rank([[1], [2, 5]])
         with pytest.raises(DomainError, match="row 0 has 2 entries, row 1 has 1"):
             matrix_rank([[1, 2], [3]])
+
+    def test_generator_matches_list(self, monkeypatch):
+        # the oracle test's matrices, each also read as a generator of row generators
+        def both(rows):
+            rank = core.matrix_rank(rows)
+            assert core.matrix_rank(iter(row) for row in rows) == rank, rows
+            return rank
+
+        monkeypatch.setattr(sys.modules[__name__], "matrix_rank", both)
+        self.test_random_against_fraction_oracle()
+
+    def test_ragged_generator_rejected(self):
+        rows = ([1] * (2 if i == 3 else 3) for i in range(5))
+        with pytest.raises(DomainError, match="ragged matrix: row 0 has 3 entries, row 3 has 2"):
+            matrix_rank(rows)
+
+    def test_empty_iterator(self):
+        assert matrix_rank(iter(())) == 0
+
+    def test_zero_rows_are_dropped(self, monkeypatch):
+        seen = []
+        echelon = core._echelon
+
+        def spy(rows, ncols, p):
+            seen.append(len(rows))
+            return echelon(rows, ncols, p)
+
+        monkeypatch.setattr(core, "_echelon", spy)
+        assert matrix_rank(iter([[0, 0], [1, 2], [0, Fraction(0)]])) == 1
+        assert seen == [1]
+
+    def test_relation_rank_holds_one_dense_row(self):
+        # the rows reach matrix_rank one at a time; only their sparse forms are kept
+        import tracemalloc
+
+        import numpy  # noqa: F401  # its import is not part of the peak
+        from mzvkit import regularization as reg
+
+        reg._relation_table(11)
+        tracemalloc.start()
+        try:
+            assert reg.relation_rank(11) == (503, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
 
 def fraction_rank(rows):

@@ -341,6 +341,13 @@ class TestDepthOrder:
         expected = matrix_rank(rows) if rows else 0
         assert relation_rank(weight) == (expected, len(basis) - expected)
 
+    @pytest.mark.parametrize("weight", range(2, 12))
+    def test_relation_terms_stay_in_the_convergent_span(self, weight):
+        # relation_rank indexes every term by the convergent basis and checks nothing
+        basis = {s.entries for s in convergent_compositions(weight)}
+        for rel in extended_double_shuffle_relations(weight):
+            assert {s.entries for s in rel.terms.support()} <= basis, rel
+
 
 # sha256 prefixes of `mzvkit eds --weight w --format csv|json|text` on stdout;
 # csv and json recorded before the products of a relation table shared their
