@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from decimal import Decimal
@@ -156,7 +157,11 @@ def _cmd_rho(args, inverse: bool) -> int:
     table = rho.delta if inverse else rho.gamma
     name = "delta" if inverse else "gamma"
     if args.apply is not None:
-        coeffs = [float(c) for c in args.apply.split(",")]
+        texts = args.apply.split(",")
+        coeffs = [float(c) for c in texts]
+        for degree, (text, c) in enumerate(zip(texts, coeffs)):
+            if not math.isfinite(c):
+                raise DomainError(f"--apply coefficient of T^{degree} must be finite, got {text.strip()}")
         from .core import TPoly
 
         poly = TPoly({i: c for i, c in enumerate(coeffs)})

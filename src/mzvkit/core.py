@@ -400,11 +400,11 @@ class TPoly(Sparse, Generic[R]):
 
     @classmethod
     def constant(cls, c: R) -> "TPoly[R]":
-        return cls({0: c} if c else {})
+        return cls({0: c})
 
     @classmethod
     def t_power(cls, n: int, c: R) -> "TPoly[R]":
-        return cls({n: c} if c else {})
+        return cls({n: c})
 
     def degree(self) -> int:
         """Degree of a nonzero polynomial; -1 for the zero polynomial."""

@@ -32,7 +32,7 @@ from .compositions import (
     shuffle,
     stuffle,
 )
-from .core import DomainError, LinComb, Sparse, TPoly, matrix_rank, shared_products
+from .core import DomainError, LinComb, Sparse, TPoly, _add_into, matrix_rank, shared_products
 from .numerics import DEFAULT_CTX, PrecisionContext, zeta_pos
 
 
@@ -45,10 +45,6 @@ class MZVSymbol:
     def __post_init__(self):
         if not self.index.is_convergent:
             raise DomainError(f"MZV symbols need convergent indices: {self.index}")
-
-    @property
-    def weight(self) -> int:
-        return self.index.weight
 
     def sort_key(self):
         return self.index.sort_key()
@@ -172,15 +168,8 @@ def leading_ones_decomposition(
         raise DomainError("need ell >= 0")
     if not s.is_convergent:
         raise DomainError(f"decomposition needs a convergent tail: {s}")
-    acc: dict[tuple[int, tuple[int, ...]], int] = {}
-    for coeff, i, tail in _ones_decomp(ell, s.entries):
-        key = (i, tail)
-        acc[key] = acc.get(key, 0) + coeff
-    return [
-        (c, i, Composition(tail))
-        for (i, tail), c in sorted(acc.items())
-        if c
-    ]
+    acc = _add_into({}, (((i, tail), coeff) for coeff, i, tail in _ones_decomp(ell, s.entries)))
+    return [(c, i, Composition(tail)) for (i, tail), c in sorted(acc.items())]
 
 
 @lru_cache(maxsize=4096)

@@ -7,10 +7,12 @@ isomorphism laws are rows ``(name, draw, holds)`` of ``STRUCTURE_LAWS`` and
 one case, and ``holds(*case)`` checks the law.  The one runner :func:`_law`
 checks a row on drawn or enumerated inputs (transport, universal evaluation,
 injectivity), fills ``{n}`` in the name with the input count, and names the
-first failing input.  Rows look their products up through the modules when
-called, so a patched product is what they check.  The samplers cap the joint
-size of extended-shuffle inputs so that worst-case term explosions cannot
-stall a run (the covered region still spans the full entry/length ranges).
+first failing input.  The float suites hand their gaps to the other runner,
+:func:`_within`, which passes when the largest gap is below the bound.  Rows
+look their products up through the modules when called, so a patched product
+is what they check.  The samplers cap the joint size of extended-shuffle
+inputs so that worst-case term explosions cannot stall a run (the covered
+region still spans the full entry/length ranges).
 A suite asked for an empty range raises :class:`DomainError`.
 """
 
@@ -62,10 +64,21 @@ def _random_laws(suite: str, laws, cases: int, seed: int) -> list[CheckResult]:
     return [_law(suite, name, holds, [draw(rng) for _ in range(cases)]) for name, draw, holds in laws]
 
 
-def _at_least_one(**sizes: int) -> None:
+def _within(suite: str, name: str, gaps: list[float], bound: float, label: str = "worst") -> CheckResult:
+    """Pass when the largest gap is below bound; ``{n}`` in the name is the number of gaps."""
+    worst = max(gaps)
+    return _result(suite, name.replace("{n}", str(len(gaps))), worst < bound, f"{label} {worst:.2e}")
+
+
+def _largest(diff: TPoly) -> float:
+    """The largest absolute coefficient of a float T-polynomial, 0.0 for the zero polynomial."""
+    return max((abs(float(c)) for _, c in diff.items()), default=0.0)
+
+
+def _at_least(minimum: int, **sizes: int) -> None:
     for option, value in sizes.items():
-        if value < 1:
-            raise DomainError(f"{option} must be at least 1 (got {value}); the check would be empty")
+        if value < minimum:
+            raise DomainError(f"{option} must be at least {minimum} (got {value}); the check would be empty")
 
 
 # ---------------------------------------------------------------------------
@@ -181,26 +194,18 @@ ISOMORPHISM_LAWS = (
 
 def euler_checks() -> list[CheckResult]:
     """The two classical depth-reduction relations, exactly."""
-    suite = "euler"
-    out = []
-    target3 = LinComb({comp.Composition((2, 1)): 1, comp.Composition((3,)): -1})
-    found3 = any(
-        rel.terms == target3 or rel.terms == target3.scale(-1)
-        for rel in reg.extended_double_shuffle_relations(3)
-    )
-    out.append(_result(suite, "weight-3 relation [2,1] - [3] emitted", found3))
-    target4 = LinComb({comp.Composition((3, 1)): 4, comp.Composition((4,)): -1})
-    found4 = any(
-        rel.terms == target4 or rel.terms == target4.scale(-1)
-        for rel in reg.double_shuffle_relations(4)
-    )
-    out.append(_result(suite, "weight-4 relation 4[3,1] - [4] emitted", found4))
-    return out
+    rows = ((3, "[2,1] - [3]", LinComb({comp.Composition((2, 1)): 1, comp.Composition((3,)): -1}),
+             reg.extended_double_shuffle_relations),
+            (4, "4[3,1] - [4]", LinComb({comp.Composition((3, 1)): 4, comp.Composition((4,)): -1}),
+             reg.double_shuffle_relations))
+    return [_result("euler", f"weight-{weight} relation {text} emitted",
+                    any(rel.terms in (target, target.scale(-1)) for rel in table(weight)))
+            for weight, text, target, table in rows]
 
 
 def graded_freeness_checks(max_degree: int = 8) -> list[CheckResult]:
     """Graded dimensions 2^(m-1) and invertibility of the word-side matrix."""
-    _at_least_one(max_degree=max_degree)
+    _at_least(1, max_degree=max_degree)
     suite = "freeness"
     out = []
     for m in range(1, max_degree + 1):
@@ -211,14 +216,8 @@ def graded_freeness_checks(max_degree: int = 8) -> list[CheckResult]:
                     f"got {len(basis)}")
         )
         word_basis = words.words_of_degree(m)
-        index = {w: i for i, w in enumerate(word_basis)}
-        rows = []
-        for tensor in basis:
-            row = [0] * len(word_basis)
-            for w, c in frba.to_word_sum(tensor).items():
-                row[index[w]] = c
-            rows.append(row)
-        rank = matrix_rank(rows)
+        rank = matrix_rank([image.coeff(w) for w in word_basis]
+                           for image in map(frba.to_word_sum, basis))
         out.append(
             _result(suite, f"degree-{m} word matrix invertible", rank == expected,
                     f"rank {rank} of {expected}")
@@ -228,7 +227,7 @@ def graded_freeness_checks(max_degree: int = 8) -> list[CheckResult]:
 
 def structure_checks(cases: int = 500, seed: int = 20268) -> list[CheckResult]:
     """The randomized product and Rota-Baxter laws, then shuffle transport exhaustively."""
-    _at_least_one(cases=cases)
+    _at_least(1, cases=cases)
     pairs = [(s, t) for weight in range(2, 8) for split in range(1, weight)
              for s in comp.positive_compositions(split)
              for t in comp.positive_compositions(weight - split)]
@@ -244,7 +243,7 @@ def structure_checks(cases: int = 500, seed: int = 20268) -> list[CheckResult]:
 def isomorphism_checks(max_degree: int = 6, injective_degree: int = 8,
                        cases: int = 200, seed: int = 20269) -> list[CheckResult]:
     """Universal-property evaluation against both explicit isomorphisms."""
-    _at_least_one(max_degree=max_degree, injective_degree=injective_degree, cases=cases)
+    _at_least(1, max_degree=max_degree, injective_degree=injective_degree, cases=cases)
     suite = "isomorphism"
     mul_w, rb_w, gen_w = frba.word_target()
     mul_c, rb_c, gen_c = frba.composition_target()
@@ -264,31 +263,21 @@ def isomorphism_checks(max_degree: int = 6, injective_degree: int = 8,
 def polylog_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
                    tolerance: float = 1e-8) -> list[CheckResult]:
     """Shuffle homomorphism of polylogarithms and the derivative identity."""
+    _at_least(0, max_weight=max_weight)
     suite = "polylog"
     ctx = ctx or PrecisionContext(digits=20, budget=100_000, tolerance=1e-10)
     z = math.exp(-0.7)
-    out = []
     pool = comp.nonnegative_compositions(max_weight, 3)
-    worst = 0.0
-    pairs = 0
-    for s, t in combinations_with_replacement(pool, 2):
-        if s.weight + t.weight > max_weight:
-            continue
-        pairs += 1
-        lhs = sum(float(c) * num.li_eval(term, z, ctx) for term, c in comp.shuffle(s, t).items())
-        rhs = num.li_eval(s, z, ctx) * num.li_eval(t, z, ctx)
-        worst = max(worst, abs(lhs - rhs))
-    out.append(
-        _result(suite, f"shuffle homomorphism at z=e^-0.7 ({pairs} pairs, weight <= {max_weight})",
-                worst < tolerance, f"worst {worst:.2e}")
-    )
-    fd_worst = 0.0
-    for s, eps in ((comp.Composition((0,)), -1.0), (comp.Composition((1,)), -0.7),
-                   (comp.Composition((1, 1)), -0.9), (comp.Composition((2, 1)), -0.5)):
-        fd_worst = max(fd_worst, num.polylog_derivative_check(s, eps, 1e-4, ctx))
-    out.append(_result(suite, "derivative identity by central differences",
-                       fd_worst < 1e-6, f"worst {fd_worst:.2e}"))
-    return out
+    pairs = [(s, t) for s, t in combinations_with_replacement(pool, 2) if s.weight + t.weight <= max_weight]
+    shuffle_gaps = [abs(sum(float(c) * num.li_eval(term, z, ctx) for term, c in comp.shuffle(s, t).items())
+                        - num.li_eval(s, z, ctx) * num.li_eval(t, z, ctx)) for s, t in pairs]
+    derivative_gaps = [num.polylog_derivative_check(comp.Composition(entries), eps, 1e-4, ctx)
+                       for entries, eps in (((0,), -1.0), ((1,), -0.7), ((1, 1), -0.9), ((2, 1), -0.5))]
+    return [
+        _within(suite, f"shuffle homomorphism at z=e^-0.7 ({{n}} pairs, weight <= {max_weight})",
+                shuffle_gaps, tolerance),
+        _within(suite, "derivative identity by central differences", derivative_gaps, 1e-6),
+    ]
 
 
 def series_checks(order: int = 12) -> list[CheckResult]:
@@ -307,48 +296,33 @@ def series_checks(order: int = 12) -> list[CheckResult]:
 def regularization_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
                           exact_tol: float = 1e-10, mzv_tol: float = 1e-3) -> list[CheckResult]:
     """The regularization-exchange diagram and the inverse-map identity."""
-    _at_least_one(max_weight=max_weight)
+    _at_least(1, max_weight=max_weight)
     suite = "regularization"
     ctx = ctx or PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)
-    out = []
     rho = reg.build_rho(max(max_weight + 1, 5), ctx)
-
     z2 = float(num.zeta_pos(2, ctx))
     image = reg.rho_apply(TPoly({2: 0.5, 0: -z2 / 2}), rho)
-    gap = max(abs(float(image.coeff(2, 0.0)) - 0.5), abs(float(image.coeff(0, 0.0))))
-    out.append(_result(suite, "exact weight-2 exchange rho((T^2-zeta(2))/2) = T^2/2",
-                       gap < exact_tol, f"gap {gap:.2e}"))
-
-    worst = 0.0
-    count = 0
-    for weight in range(1, max_weight + 1):
-        for s in comp.positive_compositions(weight):
-            count += 1
-            lhs = num.eval_reg_poly(reg.shuffle_regularize(s), ctx)
-            rhs = reg.rho_apply(num.eval_reg_poly(reg.stuffle_regularize(s), ctx), rho)
-            diff = lhs - rhs
-            worst = max(worst, max((abs(float(c)) for _, c in diff.items()), default=0.0))
-    out.append(_result(suite, f"diagram: shuffle = rho(stuffle) on {count} compositions (weight <= {max_weight})",
-                       worst < mzv_tol, f"worst {worst:.2e}"))
-
-    worst = 0.0
-    for ell in range(1, 5):
-        lhs = reg.beta_apply(TPoly({ell: 1.0 / math.factorial(ell)}), rho)
-        rhs = num.eval_reg_poly(reg.stuffle_regularize(comp.ones(ell)), ctx)
-        diff = lhs - rhs
-        worst = max(worst, max((abs(float(c)) for _, c in diff.items()), default=0.0))
-    out.append(_result(suite, "inverse map matches stuffle-regularized ones blocks (l <= 4)",
-                       worst < mzv_tol, f"worst {worst:.2e}"))
-    return out
+    exchange_gaps = [abs(float(image.coeff(2, 0.0)) - 0.5), abs(float(image.coeff(0, 0.0)))]
+    diagram_gaps = [_largest(num.eval_reg_poly(reg.shuffle_regularize(s), ctx)
+                             - reg.rho_apply(num.eval_reg_poly(reg.stuffle_regularize(s), ctx), rho))
+                    for weight in range(1, max_weight + 1) for s in comp.positive_compositions(weight)]
+    ones_gaps = [_largest(reg.beta_apply(TPoly({ell: 1.0 / math.factorial(ell)}), rho)
+                          - num.eval_reg_poly(reg.stuffle_regularize(comp.ones(ell)), ctx))
+                 for ell in range(1, 5)]
+    return [
+        _within(suite, "exact weight-2 exchange rho((T^2-zeta(2))/2) = T^2/2",
+                exchange_gaps, exact_tol, "gap"),
+        _within(suite, f"diagram: shuffle = rho(stuffle) on {{n}} compositions (weight <= {max_weight})",
+                diagram_gaps, mzv_tol),
+        _within(suite, "inverse map matches stuffle-regularized ones blocks (l <= 4)", ones_gaps, mzv_tol),
+    ]
 
 
 def corollary_checks(order: int = 4, ctx: PrecisionContext | None = None,
                      tolerance: float = 1e-3) -> list[CheckResult]:
-    suite = "corollary"
     ctx = ctx or PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)
-    gap = reg.corollary_check(order, ctx)
-    return [_result(suite, f"exponential identity for repeated ones to order {order}",
-                    gap < tolerance, f"gap {gap:.2e}")]
+    return [_within("corollary", f"exponential identity for repeated ones to order {order}",
+                    [reg.corollary_check(order, ctx)], tolerance, "gap")]
 
 
 def rank_checks() -> list[CheckResult]:

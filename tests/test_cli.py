@@ -10,9 +10,11 @@ import pytest
 
 import mzvkit
 from mzvkit import cli
+from mzvkit import compositions
 from mzvkit import expressions as expr
 from mzvkit import verification
 from mzvkit.cli import _value_json, main
+from mzvkit.core import LinComb
 
 
 def run(capsys, *argv):
@@ -54,6 +56,13 @@ class TestEval:
         code, out, _ = run(capsys, "eval", text, "--format", "json")
         assert code == 0
         assert out == json.dumps(_value_json(value), indent=2) + "\n"
+
+    def test_scalar(self, capsys):
+        assert run(capsys, "eval", "1/2") == (0, "1/2\n", "")
+        assert run(capsys, "eval", "1/2", "--format", "csv") == (0, "term,coefficient\n1,1/2\n", "")
+
+    def test_negated_product(self, capsys):
+        assert run(capsys, "eval", "--", "-sh([1],[2])") == (0, "-[1,2] - 2*[2,1]\n", "")
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "eval", "sh([1,1],[2,1])")
@@ -119,6 +128,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "eval", text)
         assert code == 1 and out == ""
         assert err == message
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["zsh", "x0x1"], "expected a composition literal"),
+        (["zdir", "x0x1", "--", "-0.5"], "expected a bi-composition literal"),
+    ])
+    def test_wrong_literal_kind_is_1(self, capsys, argv, kind):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {kind}")
+
+    @pytest.mark.parametrize("command, apply, message", [
+        ("rho", "inf,1", "--apply coefficient of T^0 must be finite, got inf"),
+        ("beta", "1e400", "--apply coefficient of T^0 must be finite, got 1e400"),
+        ("rho", "1,nan", "--apply coefficient of T^1 must be finite, got nan"),
+    ])
+    def test_non_finite_apply_is_1(self, capsys, command, apply, message):
+        code, out, err = run(capsys, command, "--order", "2", "--apply", apply)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_closed_stdout_is_quiet(self):
         # `mzvkit eds --weight 9 --format json | head -1`: the reader leaves
@@ -219,6 +247,11 @@ class TestNumericCommands:
         assert code == 0
         assert out.startswith("0.4360224948 ±")
 
+    def test_zdir_reads_a_composition_as_a_zero_direction(self, capsys):
+        code, out, _ = run(capsys, "zdir", "[2,1]", "--", "-0.5")
+        assert code == 0 and out == "1.2020569032 ± 1e-08\n"
+        assert run(capsys, "zdir", "[2,1 | 0,0]", "--", "-0.5") == (0, out, "")
+
     def test_rho_table(self, capsys):
         code, out, _ = run(capsys, "rho", "--order", "3")
         assert code == 0
@@ -293,6 +326,20 @@ class TestVerifyCommand:
     def test_weight_zero_polylog_still_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "polylog", "--max-weight", "0")
         assert code == 0 and out.count("PASS") == 2
+
+    def test_negative_polylog_weight_is_1(self, capsys):
+        code, out, err = run(capsys, "verify", "polylog", "--max-weight", "-1")
+        assert code == 1 and out == ""
+        assert "max_weight must be at least 0" in err and "PASS" not in err
+
+    def test_failing_law_is_1_and_names_its_input(self, capsys, monkeypatch):
+        shuffle = compositions.shuffle
+        monkeypatch.setattr(compositions, "shuffle", lambda s, t: LinComb(list(shuffle(s, t).items())[1:]))
+        code, out, err = run(capsys, "verify", "structure", "--cases", "5")
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert code == 1 and failed and err == f"{len(failed)} check(s) failed\n"
+        assert ("FAIL structure: shuffle transport identity exhaustive to weight 7 (321 pairs)"
+                " (first failing input: [1], [1])") in failed
 
 
 def test_parser_is_built_once_at_import(monkeypatch, capsys):
