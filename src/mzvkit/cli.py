@@ -13,7 +13,6 @@ import math
 import os
 import sys
 from decimal import Decimal
-from fractions import Fraction
 
 from . import expressions as expr
 from . import numerics as num
@@ -80,7 +79,7 @@ def _value_json(value: expr.Value) -> dict:
         elif value.kind == expr.COMPOSITION:
             rendered = list(basis.entries)
         elif value.kind == expr.BICOMPOSITION:
-            rendered = {"s": list(basis.s_row), "r": [reg.fraction_str(Fraction(r)) for r in basis.r_row]}
+            rendered = {"s": list(basis.s_row), "r": [reg.fraction_str(r) for r in basis.r_row]}
         else:
             rendered = list(basis.exponents)
         terms.append({"basis": rendered, "coeff": reg.fraction_str(coeff)})

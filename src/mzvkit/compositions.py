@@ -16,9 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product as iter_product
-from operator import add
+from math import lcm
+from operator import add, attrgetter
 
 from .core import DomainError, LinComb, _exact, bilinear, mixable_shuffle, shared_dict
+
+
+# (numerator, denominator) of an int or Fraction
+_ratio = attrgetter("numerator", "denominator")
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,19 +84,35 @@ class Composition:
 
 @dataclass(frozen=True, slots=True)
 class BiComposition:
-    """Two-row symbol: integer top row, non-negative rational bottom row."""
+    """Two-row symbol: integer top row, non-negative rational bottom row.
+
+    As for :class:`Composition`, the hash is computed once and kept in a
+    hidden slot.  It reads the numerator and denominator of each direction
+    entry, never a ``Fraction`` hash; a ``Fraction`` is in lowest terms and
+    an ``int`` is n/1, so equal symbols hash equal.
+    """
 
     s_row: tuple[int, ...]
     r_row: tuple[Fraction | int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.s_row:
             raise DomainError("bi-compositions are nonempty")
         if len(self.s_row) != len(self.r_row):
             raise DomainError(f"rows must have equal length: {self}")
-        object.__setattr__(self, "r_row", tuple(map(_exact, self.r_row)))
-        if any(r < 0 for r in self.r_row):
+        r_row = tuple(map(_exact, self.r_row))
+        object.__setattr__(self, "r_row", r_row)
+        ratios = tuple(map(_ratio, r_row))
+        if min(ratios)[0] < 0:  # the least numerator
             raise DomainError(f"direction entries must be >= 0: {self}")
+        object.__setattr__(self, "_hash", hash((self.s_row, ratios)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (BiComposition, (self.s_row, self.r_row))
 
     @classmethod
     def make(cls, s_row, r_row) -> "BiComposition":
@@ -217,18 +238,38 @@ def stuffle_lin(a: LinComb[Composition], b: LinComb[Composition]) -> LinComb[Com
     return bilinear(stuffle, a, b)
 
 
-def _merge_pairs(a: tuple[int, Fraction], b: tuple[int, Fraction]) -> tuple[int, Fraction]:
+def _merge_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] + b[0], a[1] + b[1])
 
 
 def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiComposition]:
-    """Mixable shuffle of the (s, r) columns of two-row symbols at the given weight."""
-    raw = mixable_shuffle(
-        tuple(zip(u.s_row, u.r_row)), tuple(zip(v.s_row, v.r_row)), weight, _merge_pairs
-    )
-    return raw.map_basis(
-        lambda cols: BiComposition(tuple(s for s, _ in cols), tuple(r for _, r in cols))
-    )
+    """Mixable shuffle of the (s, r) columns of two-row symbols at the given weight.
+
+    The recursion runs on integer columns (s, r*D), D the lcm of the
+    denominators of both r-rows, so no memo or term key hashes a
+    ``Fraction``.  Each distinct numerator n then maps back to one r value
+    per call: ``Fraction(n, D)`` if either r-row holds a ``Fraction``, else
+    the ``int`` n (D is 1).  A merged column adds numerators over the same
+    D, so the values are those of the shuffle on the (s, r) columns.
+    """
+    rows = u.r_row + v.r_row
+    d = lcm(*(r.denominator for r in rows))
+
+    def columns(x: BiComposition) -> tuple[tuple[int, int], ...]:
+        return tuple((s, r.numerator * (d // r.denominator)) for s, r in zip(x.s_row, x.r_row))
+
+    a, b = columns(u), columns(v)
+    numerators = {n for _, n in a + b}
+    if weight:
+        numerators.update(m + n for _, m in a for _, n in b)
+    rational = any(type(r) is Fraction for r in rows)
+    r_value = {n: Fraction(n, d) if rational else n for n in numerators}.__getitem__
+
+    def term(cols: tuple[tuple[int, int], ...]) -> BiComposition:
+        s_row, nums = zip(*cols)
+        return BiComposition(s_row, tuple(map(r_value, nums)))
+
+    return mixable_shuffle(a, b, weight, _merge_pairs).map_basis(term)
 
 
 def bistuffle(u: BiComposition, v: BiComposition) -> LinComb[BiComposition]:

@@ -405,10 +405,12 @@ def z_directional(b: BiComposition, eps: float, ctx: PrecisionContext = DEFAULT_
     prod_(i>=k) P_i^(n_i - n_(i+1)); any top row from k on converges.  Each
     float P_i rounds eps times the exact sum of the r_i once and ``math.exp``
     errs within an ulp: a drift of at most 2^-50 (1 + |eps (r_k + ... + r_i)|)
-    in ln P_i.
+    in ln P_i.  An infinite eps is a domain error, as nan is.
     """
     if not eps < 0:
         raise DomainError(f"directional regularization needs eps < 0, got {eps}")
+    if not math.isfinite(eps):
+        raise DomainError(f"directional regularization needs a finite eps, got {eps}")
     k = next((i for i, r in enumerate(b.r_row) if r > 0), b.depth)
     prefix = b.s_row[:k]
     if prefix and (prefix[0] < 2 or min(prefix) < 1):

@@ -148,6 +148,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("symbol, eps", [
+        ("[1 | 1]", "-inf"), ("[1 | 1]", "-1e400"), ("[2,1 | 1,0]", "-inf"),
+    ])
+    def test_non_finite_direction_is_1(self, capsys, symbol, eps):
+        code, out, err = run(capsys, "zdir", symbol, "--", eps)
+        assert code == 1 and out == ""
+        assert err == "error: directional regularization needs a finite eps, got -inf\n"
+
     def test_closed_stdout_is_quiet(self):
         # `mzvkit eds --weight 9 --format json | head -1`: the reader leaves
         # after one line, long before the 300 kB of output are written

@@ -8,6 +8,7 @@ import pytest
 from mzvkit.compositions import (
     BiComposition,
     Composition,
+    _column_shuffle,
     bistuffle,
     convergent_compositions,
     entries_to_exponents,
@@ -19,7 +20,7 @@ from mzvkit.compositions import (
     shuffle,
     stuffle,
 )
-from mzvkit.core import DomainError, LinComb, bilinear
+from mzvkit.core import DomainError, LinComb, bilinear, mixable_shuffle
 from mzvkit.free_rba import graded_basis, to_composition as tensor_to_composition
 from mzvkit.words import words_of_degree
 
@@ -308,6 +309,61 @@ class TestBistuffle:
         assert got and all(type(r) is Fraction for term, _ in got.items() for r in term.r_row)
         with pytest.raises(DomainError, match="direction entries must be >= 0"):
             BiComposition.make([1, 2], [Fraction(1, 2), -0.25])
+
+    def test_matches_raw_column_oracle(self):
+        # the engine shuffles (s, r*D) integer columns; the oracle shuffles the
+        # raw (s, r) columns.  Results are equal, and every result entry is a
+        # Fraction when either r-row holds one, else an int
+        rng = random.Random(20)
+
+        def entry(fractions: float):
+            if rng.random() < fractions:
+                return Fraction(rng.randint(0, 6), rng.randint(1, 6))
+            return rng.randint(0, 3)
+
+        def draw() -> BiComposition:
+            depth, fractions = rng.randint(1, 3), rng.choice((0.0, 0.5, 1.0))
+            return BiComposition.make(
+                [rng.randint(-1, 3) for _ in range(depth)], [entry(fractions) for _ in range(depth)]
+            )
+
+        def oracle(u, v, lam):
+            raw = mixable_shuffle(
+                tuple(zip(u.s_row, u.r_row)), tuple(zip(v.s_row, v.r_row)), lam,
+                lambda a, b: (a[0] + b[0], a[1] + b[1]),
+            )
+            return raw.map_basis(
+                lambda cols: BiComposition(tuple(s for s, _ in cols), tuple(r for _, r in cols))
+            )
+
+        kinds = set()
+        for _ in range(150):
+            u, v = draw(), draw()
+            want = Fraction if any(type(r) is Fraction for r in u.r_row + v.r_row) else int
+            kinds.add(want)
+            for lam in (0, 1, -1, Fraction(1, 2)):
+                got = _column_shuffle(u, v, lam)
+                assert got == oracle(u, v, lam), (u, v, lam)
+                assert all(type(r) is want for term in got.support() for r in term.r_row)
+        assert kinds == {Fraction, int}
+
+    def test_equal_symbols_are_one_key(self):
+        # the hash is kept in a slot and read from numerators and denominators,
+        # so an int entry and each Fraction equal to it give one key
+        s = BiComposition.make([1], [1])
+        for u in (BiComposition.make([1], [Fraction(1)]), BiComposition.make([1], [Fraction(2, 2)])):
+            assert u == s and hash(u) == hash(s) and {s: "found"}[u] == "found"
+        t = BiComposition.make([2, 1], [Fraction(1, 2), 0])
+        for u in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert u is not t and u == t and hash(u) == hash(t)
+            assert {t: "found"}[u] == "found" and {u: "found"}[t] == "found"
+            assert repr(u) == "BiComposition(s_row=(2, 1), r_row=(Fraction(1, 2), 0))"
+        assert s != BiComposition.make([1], [2]) and s != BiComposition.make([2], [1])
+
+    @pytest.mark.parametrize("r", [-1, Fraction(-1, 2)])
+    def test_negative_direction_raises(self, r):
+        with pytest.raises(DomainError, match="direction entries must be >= 0"):
+            BiComposition.make([1, 2], [Fraction(1, 3), r])
 
 
 class TestEnumerators:
