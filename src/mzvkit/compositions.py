@@ -19,7 +19,7 @@ from itertools import combinations, product as iter_product
 from math import lcm
 from operator import add, attrgetter
 
-from .core import DomainError, LinComb, _exact, bilinear, mixable_shuffle, shared_dict
+from .core import DomainError, LinComb, _exact, bilinear, mixable_shuffle
 
 
 # (numerator, denominator) of an int or Fraction
@@ -41,7 +41,7 @@ class Composition:
         if not self.entries:
             raise DomainError("compositions are nonempty")
         if min(self.entries) < 0:
-            raise DomainError(f"composition entries must be >= 0: {self.entries}")
+            raise DomainError(f"composition entries must be >= 0: {self}")
         object.__setattr__(self, "_hash", hash(self.entries))
 
     def __hash__(self) -> int:
@@ -174,32 +174,22 @@ def entries_to_exponents(entries: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _interned(entries: tuple[int, ...], table: dict) -> Composition:
-    """The one composition of ``table`` (a :func:`~mzvkit.core.shared_dict`) with these entries."""
-    s = table.get(entries)
-    if s is None:
-        s = table[entries] = Composition(entries)
-    return s
+# the one composition with given entries that the products hand out as a
+# term; the cache wraps the class itself, so a miss runs no Python frame more
+_composition = lru_cache(maxsize=8192)(Composition)
+
+
+@lru_cache(maxsize=8192)
+def _from_exponents(exps: tuple[int, ...]) -> Composition:
+    """The term of the exponent tensor ``exps``: :func:`_composition` of its entries."""
+    return _composition(exponents_to_entries(exps))
 
 
 @lru_cache(maxsize=8192)
 def _shuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
     x, y = entries_to_exponents(s), entries_to_exponents(t)
     head = (x[0] + y[0],)
-    terms = mixable_shuffle(x[1:], y[1:])
-    by_exponents = shared_dict("compositions.by_exponents")
-    if by_exponents is None:
-        return terms.map_basis(lambda e: Composition(exponents_to_entries(head + e)))
-    by_entries = shared_dict("compositions.by_entries")
-
-    def term(e: tuple[int, ...]) -> Composition:
-        exps = head + e
-        s = by_exponents.get(exps)
-        if s is None:
-            s = by_exponents[exps] = _interned(exponents_to_entries(exps), by_entries)
-        return s
-
-    return terms.map_basis(term)
+    return mixable_shuffle(x[1:], y[1:]).map_basis(lambda e: _from_exponents(head + e))
 
 
 def shuffle(s: Composition, t: Composition) -> LinComb[Composition]:
@@ -220,11 +210,7 @@ def shuffle_lin(a: LinComb[Composition], b: LinComb[Composition]) -> LinComb[Com
 
 @lru_cache(maxsize=8192)
 def _stuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
-    terms = mixable_shuffle(s, t, weight=1, merge=add)
-    by_entries = shared_dict("compositions.by_entries")
-    if by_entries is None:
-        return terms.map_basis(Composition)
-    return terms.map_basis(lambda e: _interned(e, by_entries))
+    return mixable_shuffle(s, t, weight=1, merge=add).map_basis(_composition)
 
 
 def stuffle(s: Composition, t: Composition) -> LinComb[Composition]:

@@ -15,7 +15,7 @@ coefficients never cancel.
 Coefficients are ``int`` unless a non-integer scalar enters (:func:`_exact`).
 Values are immutable after construction and safe to share between threads.
 Inside a :func:`shared_products` block the products of the current thread
-share their recursion memos.
+share the recursion memos of :func:`mixable_shuffle`, and nothing else.
 """
 
 from __future__ import annotations
@@ -283,15 +283,16 @@ _SHARED: ContextVar[dict | None] = ContextVar("mzvkit_shared_products", default=
 
 @contextmanager
 def shared_products() -> Iterator[None]:
-    """Let the products computed in the block share their intermediate results.
+    """Let the products computed in the block share their recursion memos.
 
     Inside the block, :func:`mixable_shuffle` keeps one recursion memo per
-    (weight, merge) instead of one per call, and the composition products
-    hand out one :class:`~mzvkit.compositions.Composition` per distinct
-    term, so a batch of products over overlapping inputs computes each
-    sub-product once.  The scope belongs to the current context (so to the
-    current thread) and is freed when the block exits; a nested block has a
-    scope of its own.  Results are equal with or without the block.
+    (weight, merge) instead of one per call, so a batch of products over
+    overlapping inputs computes each sub-product once.  Terms are not
+    shared here: the composition products intern theirs through one
+    constructor, in and out of a block.  The scope belongs to the current
+    context (so to the current thread) and is freed when the block exits; a
+    nested block has a scope of its own.  Results are equal with or without
+    the block.
     """
     token = _SHARED.set({})
     try:
@@ -337,7 +338,8 @@ def mixable_shuffle(
 
     The memo of the recursion lives for one call, except inside a
     :func:`shared_products` block, where the calls of one (weight, merge)
-    share it.  Only the relation table of a weight opens such a block.
+    share it; this memo is all that a block shares.  Only the relation
+    table of a weight opens such a block.
     """
     lam = _exact(weight)
     memo = shared_dict(("mixable_shuffle", type(lam), lam, merge))

@@ -89,7 +89,7 @@ class BinOp(Node):
 
 
 def _weighted_compositions(u: comp.Composition, v: comp.Composition, weight) -> LinComb:
-    return mixable_shuffle(u.entries, v.entries, weight, add).map_basis(comp.Composition)
+    return mixable_shuffle(u.entries, v.entries, weight, add).map_basis(comp._composition)
 
 
 # (call, argument kinds) -> function on basis elements, extended bilinearly

@@ -13,6 +13,8 @@ Rota-Baxter target through the universal property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import factorial
 from typing import Callable, TypeVar
 
 from . import compositions as comp
@@ -32,9 +34,9 @@ class TensorWord:
         if not self.exponents:
             raise DomainError("tensor words are nonempty")
         if any(n < 0 for n in self.exponents):
-            raise DomainError(f"exponents must be >= 0: {self.exponents}")
+            raise DomainError(f"exponents must be >= 0: {self}")
         if self.exponents[-1] < 1:
-            raise DomainError(f"last exponent must be >= 1: {self.exponents}")
+            raise DomainError(f"last exponent must be >= 1: {self}")
 
     @property
     def degree(self) -> int:
@@ -65,11 +67,12 @@ def nest(t: TensorWord) -> TensorWord:
 def to_word_sum(t: TensorWord) -> LinComb[words.Word]:
     """Graded isomorphism onto the word algebra, generator to x1.
 
-    A single slot x^n maps to the n-th shuffle power of x1 (n! times the
-    word of n ones); deeper tensors recurse through the x0-prepend operator.
+    A single slot x^n maps to the n-th shuffle power of x1, which is n!
+    times the word of n ones (the empty word, the unit, when n = 0); deeper
+    tensors recurse through the x0-prepend operator.
     """
     head, rest = t.exponents[0], t.exponents[1:]
-    head_power = words.shuffle_power(words.X1_WORD, head)
+    head_power = LinComb.single(words.Word((words.X1,) * head), factorial(head))
     if not rest:
         return head_power
     inner = to_word_sum(TensorWord(rest)).map_basis(words.prepend_x0)
@@ -136,20 +139,17 @@ def composition_target() -> tuple[Callable, Callable, LinComb[comp.Composition]]
 
 
 def graded_basis(m: int) -> list[TensorWord]:
-    """All tensor words of degree m, canonically ordered; there are 2^(m-1)."""
+    """All tensor words of degree m, canonically ordered; there are 2^(m-1).
+
+    A tensor of k slots spreads m - k + 1 over them with the last slot >= 1:
+    k - 1 bars among m - 1 places cut off the slots, and the end point m in
+    place of m - 1 adds the one to the last.  ``combinations`` yields the
+    bar sets in lexicographic order, and so the exponents in theirs.
+    """
     if m < 1:
         raise DomainError("degree must be >= 1")
-    out: list[TensorWord] = []
-    for k in range(1, m + 1):
-        total = m - k + 1  # remaining exponent sum
-
-        def build(remaining: int, slots_left: int, prefix: tuple[int, ...]):
-            if slots_left == 1:
-                if remaining >= 1:
-                    out.append(TensorWord(prefix + (remaining,)))
-                return
-            for n in range(remaining + 1):
-                build(remaining - n, slots_left - 1, prefix + (n,))
-
-        build(total, k, ())
-    return out
+    return [
+        TensorWord(tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, m))))
+        for k in range(1, m + 1)
+        for bars in combinations(range(m - 1), k - 1)
+    ]

@@ -263,7 +263,7 @@ def _relation_table(weight: int) -> tuple[tuple[Relation, ...], int]:
                     checked.add(term)
             out.append(Relation._checked(diff, weight, (w1, w2)))
 
-    with shared_products():  # the pairs overlap in most sub-products and terms
+    with shared_products():  # the pairs overlap in most sub-products
         for w1, w2 in _convergent_pairs(weight):
             add_relation(w1, w2)
         count = len(out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .core import DomainError, LinComb, mixable_shuffle
@@ -71,7 +72,6 @@ class Word:
         return "".join("x1" if letter else "x0" for letter in self.letters)
 
 
-EMPTY_WORD = Word()
 X1_WORD = Word((X1,))
 
 
@@ -89,16 +89,6 @@ def shuffle_lin(a: LinComb[Word], b: LinComb[Word]) -> LinComb[Word]:
     from .core import bilinear
 
     return bilinear(shuffle, a, b)
-
-
-def shuffle_power(w: Word, n: int) -> LinComb[Word]:
-    """n-th shuffle power; n = 0 gives the internal unit (empty word)."""
-    if n < 0:
-        raise DomainError("shuffle power needs n >= 0")
-    acc = LinComb.single(EMPTY_WORD)
-    for _ in range(n):
-        acc = shuffle_lin(acc, LinComb.single(w))
-    return acc
 
 
 def prepend_x0(w: Word) -> Word:
@@ -148,9 +138,8 @@ def words_of_degree(m: int, convergent_only: bool = False) -> list[Word]:
     if m < 1:
         raise DomainError("degree must be >= 1")
     out = []
-    for bits in range(1 << (m - 1)):
-        letters = tuple((bits >> (m - 2 - i)) & 1 for i in range(m - 1)) + (X1,)
-        w = Word(letters)
+    for letters in product((X0, X1), repeat=m - 1):
+        w = Word(letters + (X1,))
         if convergent_only and not w.is_convergent:
             continue
         out.append(w)

@@ -129,6 +129,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1,-1]", "error: composition entries must be >= 0: [1,-1]\n"),
+        ("(1,-1)", "error: exponents must be >= 0: (1,-1)\n"),
+        ("(0)", "error: last exponent must be >= 1: (0)\n"),
+    ])
+    def test_literal_error_writes_the_literal(self, capsys, text, message):
+        code, out, err = run(capsys, "eval", text)
+        assert code == 1 and out == ""
+        assert err == message
+
     @pytest.mark.parametrize("argv, kind", [
         (["zsh", "x0x1"], "expected a composition literal"),
         (["zdir", "x0x1", "--", "-0.5"], "expected a bi-composition literal"),

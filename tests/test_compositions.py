@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzvkit import compositions as comp
 from mzvkit.compositions import (
     BiComposition,
     Composition,
@@ -21,6 +22,7 @@ from mzvkit.compositions import (
     stuffle,
 )
 from mzvkit.core import DomainError, LinComb, bilinear, mixable_shuffle
+from mzvkit.expressions import _weighted_compositions
 from mzvkit.free_rba import graded_basis, to_composition as tensor_to_composition
 from mzvkit.words import words_of_degree
 
@@ -109,6 +111,19 @@ class TestExtendedShuffle:
         s, t = C(2, 1, 3), C(1, 2, 1)
         assert shuffle(s, t) is shuffle(s, t)
         assert stuffle(s, t) is stuffle(s, t)
+
+    def test_products_hand_out_one_object_per_term(self):
+        # outside any shared_products block every product builds its terms
+        # through the one interning constructor.  The caches start empty: a
+        # term that _composition has evicted while _from_exponents still
+        # holds it comes back as an equal but distinct object
+        s, t = C(2, 1, 3), C(1, 2, 1)
+        for cache in (comp._shuffle_entries, comp._stuffle_entries, comp._composition, comp._from_exponents):
+            cache.cache_clear()
+        by_value = {u: u for u in shuffle(s, t).support()}
+        for product in (stuffle(s, t), _weighted_compositions(s, t, 1)):
+            shared = [u for u in product.support() if u in by_value]
+            assert shared and all(by_value[u] is u for u in shared)
 
     def test_double_zero_heads_unambiguous(self):
         got = shuffle(C(0, 1), C(0, 2))

@@ -379,6 +379,20 @@ class TestSharedTable:
         assert [rel.source for rel in table] == [source for source, _ in rebuilt]
         assert [list(rel.terms.items()) for rel in table] == [list(diff.items()) for _, diff in rebuilt]
 
+    @pytest.mark.parametrize("weight", [7, 8])
+    def test_relations_survive_evicted_terms(self, weight):
+        # the terms are interned in bounded caches: emptying them between the
+        # two products costs time only
+        interning = (comp._composition, comp._from_exponents)
+        for rel in extended_double_shuffle_relations(weight):
+            u, v = rel.source
+            for cache in (comp._shuffle_entries, comp._stuffle_entries, *interning):
+                cache.cache_clear()
+            shuffled = shuffle(u, v)
+            for cache in interning:
+                cache.cache_clear()
+            assert list((shuffled - stuffle(u, v)).items()) == list(rel.terms.items())
+
     @pytest.mark.parametrize("weight", range(2, 11))
     @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
     def test_eds_bytes_unchanged(self, capsys, weight, fmt):
