@@ -134,6 +134,34 @@ class BiComposition:
         return f"[{top} | {bottom}]"
 
 
+# Trusted constructors: an engine whose inputs passed the checks builds terms
+# that pass them too, so it fills the slots through their descriptors and
+# stores the hash the checked path would store, running neither __init__
+# nor __post_init__.  Each result is equal, and hashes equal, to the object
+# the public constructor returns for the same fields.  Only engines call them.
+_new = object.__new__
+_set_entries, _set_composition_hash = Composition.entries.__set__, Composition._hash.__set__
+_set_s_row, _set_r_row = BiComposition.s_row.__set__, BiComposition.r_row.__set__
+_set_bicomposition_hash = BiComposition._hash.__set__
+
+
+def _trusted_composition(entries: tuple[int, ...]) -> Composition:
+    """``Composition(entries)`` for entries known to be nonempty and >= 0."""
+    s = _new(Composition)
+    _set_entries(s, entries)
+    _set_composition_hash(s, hash(entries))
+    return s
+
+
+def _trusted_bicomposition(s_row: tuple[int, ...], r_row: tuple, ratios: tuple) -> BiComposition:
+    """``BiComposition(s_row, r_row)`` for valid rows whose exact entries have these (n, d) in lowest terms."""
+    u = _new(BiComposition)
+    _set_s_row(u, s_row)
+    _set_r_row(u, r_row)
+    _set_bicomposition_hash(u, hash((s_row, ratios)))
+    return u
+
+
 def raise_first(s: Composition) -> Composition:
     """Add 1 to the first entry; the Rota-Baxter operator of the shuffle side."""
     return Composition((s.entries[0] + 1,) + s.entries[1:])
@@ -175,8 +203,9 @@ def entries_to_exponents(entries: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # the one composition with given entries that the products hand out as a
-# term; the cache wraps the class itself, so a miss runs no Python frame more
-_composition = lru_cache(maxsize=8192)(Composition)
+# term; the cache wraps the trusted constructor itself, so a miss runs one
+# Python frame and no check
+_composition = lru_cache(maxsize=8192)(_trusted_composition)
 
 
 @lru_cache(maxsize=8192)
@@ -235,8 +264,10 @@ def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiCom
     denominators of both r-rows, so no memo or term key hashes a
     ``Fraction``.  Each distinct numerator n then maps back to one r value
     per call: ``Fraction(n, D)`` if either r-row holds a ``Fraction``, else
-    the ``int`` n (D is 1).  A merged column adds numerators over the same
-    D, so the values are those of the shuffle on the (s, r) columns.
+    the ``int`` n (D is 1), and to the (numerator, denominator) pair of that
+    value, which the hash reads.  A merged column adds numerators over the
+    same D, so the values are those of the shuffle on the (s, r) columns.
+    Every term is a valid symbol, so it is built unchecked.
     """
     rows = u.r_row + v.r_row
     d = lcm(*(r.denominator for r in rows))
@@ -249,11 +280,13 @@ def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiCom
     if weight:
         numerators.update(m + n for _, m in a for _, n in b)
     rational = any(type(r) is Fraction for r in rows)
-    r_value = {n: Fraction(n, d) if rational else n for n in numerators}.__getitem__
+    values = {n: Fraction(n, d) if rational else n for n in numerators}
+    r_value = values.__getitem__
+    r_ratio = {n: _ratio(r) for n, r in values.items()}.__getitem__
 
     def term(cols: tuple[tuple[int, int], ...]) -> BiComposition:
         s_row, nums = zip(*cols)
-        return BiComposition(s_row, tuple(map(r_value, nums)))
+        return _trusted_bicomposition(s_row, tuple(map(r_value, nums)), tuple(map(r_ratio, nums)))
 
     return mixable_shuffle(a, b, weight, _merge_pairs).map_basis(term)
 

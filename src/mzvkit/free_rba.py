@@ -51,12 +51,26 @@ class TensorWord:
 
 GENERATOR = TensorWord((1,))
 
+_new, _set_exponents = object.__new__, TensorWord.exponents.__set__
+
+
+def _trusted_tensor(exponents: tuple[int, ...]) -> TensorWord:
+    """``TensorWord(exponents)`` for exponents known to be valid, unchecked; only :func:`product` calls it."""
+    t = _new(TensorWord)
+    _set_exponents(t, exponents)
+    return t
+
 
 def product(a: TensorWord, b: TensorWord) -> LinComb[TensorWord]:
-    """First exponents add; the remaining slots shuffle without merging."""
+    """First exponents add; the remaining slots shuffle without merging.
+
+    Every term is a valid tensor, built unchecked: its exponents are those
+    of a and b, with the first two added, so they are >= 0, and the last is
+    the last of a or of b, or the sum of both when neither has a tail.
+    """
     first = a.exponents[0] + b.exponents[0]
     tails = mixable_shuffle(a.exponents[1:], b.exponents[1:])
-    return tails.map_basis(lambda t: TensorWord((first,) + t))
+    return tails.map_basis(lambda t: _trusted_tensor((first,) + t))
 
 
 def nest(t: TensorWord) -> TensorWord:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .compositions import BiComposition, Composition
+from .compositions import BiComposition, Composition, raise_first
 from .core import DomainError, Sparse, TPoly, power_text
 
 
@@ -433,7 +433,7 @@ def polylog_derivative_check(
     """
     if not (eps < 0 and eps + h < 0 and eps - h < 0):
         raise DomainError("need eps < 0 with eps +- h < 0")
-    raised = Composition((s.entries[0] + 1,) + s.entries[1:])
+    raised = raise_first(s)
     upper = li_eval(raised, math.exp(eps + h), ctx)
     lower = li_eval(raised, math.exp(eps - h), ctx)
     direct = li_eval(s, math.exp(eps), ctx)

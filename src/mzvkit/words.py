@@ -74,10 +74,19 @@ class Word:
 
 X1_WORD = Word((X1,))
 
+_new, _set_letters = object.__new__, Word.letters.__set__
+
+
+def _trusted_word(letters: tuple[int, ...]) -> Word:
+    """``Word(letters)`` for letters known to be x0 or x1, unchecked; only the shuffle engine calls it."""
+    w = _new(Word)
+    _set_letters(w, letters)
+    return w
+
 
 @lru_cache(maxsize=8192)
 def _shuffle_letters(a: tuple[int, ...], b: tuple[int, ...]) -> LinComb[Word]:
-    return mixable_shuffle(a, b).map_basis(lambda t: Word(t))
+    return mixable_shuffle(a, b).map_basis(_trusted_word)
 
 
 def shuffle(a: Word, b: Word) -> LinComb[Word]:

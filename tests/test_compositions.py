@@ -381,6 +381,73 @@ class TestBistuffle:
             BiComposition.make([1, 2], [Fraction(1, 3), r])
 
 
+def _same_key(term, twin, text):
+    """term equals its checked twin and hashes equal, also as a copy, and repr shows no hidden slot."""
+    for u in (term, pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
+        assert u == twin and hash(u) == hash(twin), (term, twin)
+        assert {twin: "found"}[u] == "found" and {u: "found"}[twin] == "found"
+        assert repr(u) == text
+
+
+def _draw_entries(rng, low):
+    return tuple(rng.randint(low, 3) for _ in range(rng.randint(1, 3)))
+
+
+def _draw_symbol(rng, kind):
+    """A seeded symbol whose r-row holds ints, Fractions, or a mix of both."""
+
+    def entry():
+        if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+            return Fraction(rng.randint(0, 6), rng.randint(1, 4))
+        return rng.randint(0, 3)
+
+    depth = rng.randint(1, 3)
+    return BiComposition.make([rng.randint(-1, 3) for _ in range(depth)], [entry() for _ in range(depth)])
+
+
+class TestTrustedTerms:
+    """The engines build their terms unchecked; every term must pass the public checks."""
+
+    @pytest.mark.parametrize("engine", ["shuffle", "stuffle", "msh"])
+    def test_composition_terms_round_trip_through_the_public_constructor(self, engine):
+        rng = random.Random(22)
+        low = 1 if engine == "stuffle" else 0
+        for _ in range(60):
+            s, t = Composition(_draw_entries(rng, low)), Composition(_draw_entries(rng, low))
+            if engine == "shuffle":
+                got = shuffle(s, t)
+            elif engine == "stuffle":
+                got = stuffle(s, t)
+            else:
+                got = _weighted_compositions(s, t, rng.choice((1, -1, Fraction(1, 2))))
+            for term in got.support():
+                _same_key(term, Composition(term.entries), f"Composition(entries={term.entries!r})")
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    def test_symbol_terms_round_trip_through_the_public_constructor(self, kind):
+        rng = random.Random(22)
+        for _ in range(60):
+            u, v = _draw_symbol(rng, kind), _draw_symbol(rng, kind)
+            for got in (bistuffle(u, v), _column_shuffle(u, v, rng.choice((0, -1, Fraction(1, 2))))):
+                for term in got.support():
+                    text = f"BiComposition(s_row={term.s_row!r}, r_row={term.r_row!r})"
+                    _same_key(term, BiComposition(term.s_row, term.r_row), text)
+                    _same_key(term, BiComposition(term.s_row, tuple(map(Fraction, term.r_row))), text)
+
+    def test_int_and_fraction_rows_stay_one_key(self):
+        # [1 | 1], [1 | Fraction(1)] and [1 | Fraction(2, 2)] are one symbol,
+        # in and out of a product, whichever row type built the term
+        v = BiComposition.make([2], [0])
+        rows = ([1], [Fraction(1)], [Fraction(2, 2)])
+        products = [bistuffle(BiComposition.make([1], r), v) for r in rows]
+        assert products[0] == products[1] == products[2]
+        for product in products[1:]:
+            for term in product.support():
+                twin = {u: u for u in products[0].support()}[term]
+                assert hash(term) == hash(twin) and type(twin.r_row[0]) is int
+                assert type(term.r_row[0]) is Fraction
+
+
 class TestEnumerators:
     def test_positive_counts(self):
         for w in range(1, 9):

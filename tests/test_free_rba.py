@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -56,6 +58,19 @@ class TestProduct:
             b = rng.choice(graded_basis(rng.randint(1, 6)))
             for t, _ in product(a, b).items():
                 assert t.degree == a.degree + b.degree
+
+    def test_terms_round_trip_through_the_public_constructor(self):
+        # the product builds its terms unchecked; each must equal and hash
+        # equal its checked twin, also as a copy, with the same repr
+        rng = random.Random(22)
+        for _ in range(60):
+            a = rng.choice(graded_basis(rng.randint(1, 5)))
+            b = rng.choice(graded_basis(rng.randint(1, 5)))
+            for term in product(a, b).support():
+                twin = TensorWord(term.exponents)
+                for u in (term, pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
+                    assert u == twin and hash(u) == hash(twin) and {twin: "found"}[u] == "found"
+                    assert repr(u) == f"TensorWord(exponents={term.exponents!r})"
 
 
 class TestNest:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -71,6 +73,20 @@ class TestShuffle:
             a = rng.choice(words_of_degree(rng.randint(2, 5), convergent_only=True))
             b = rng.choice(words_of_degree(rng.randint(2, 5), convergent_only=True))
             assert all(w.is_convergent for w, _ in shuffle(a, b).items())
+
+
+class TestTrustedTerms:
+    def test_shuffle_terms_round_trip_through_the_public_constructor(self):
+        # the engine builds its terms unchecked; each must equal and hash
+        # equal its checked twin, also as a copy, with the same repr
+        rng = random.Random(22)
+        for _ in range(60):
+            a, b = (Word(tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 4)))) for _ in range(2))
+            for term in shuffle(a, b).support():
+                twin = Word(term.letters)
+                for u in (term, pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
+                    assert u == twin and hash(u) == hash(twin) and {twin: "found"}[u] == "found"
+                    assert repr(u) == f"Word(letters={term.letters!r})"
 
 
 class TestOperator:
