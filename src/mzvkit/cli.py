@@ -140,11 +140,7 @@ def _cmd_regularize(args, shuffle_side: bool) -> int:
     if args.format == "json":
         _emit(args, reg.reg_poly_to_json(poly))
     elif args.format == "csv":
-        lines = ["t_degree,monomial,coefficient"]
-        for deg, coeff in sorted(poly.items()):
-            for mono, c in coeff.sorted_items():
-                lines.append(f"{deg},\"{reg._monomial_text(mono) or '1'}\",{reg.fraction_str(c)}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, reg.reg_poly_to_csv(poly))
     else:
         _emit(args, str(poly))
     return 0

@@ -144,97 +144,79 @@ def node_kind(node: Node) -> str:
     raise KindError(f"unknown node {node!r}")
 
 
-_WORD_RE = re.compile(r"^(x[01])+$")
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_NUM_RE = re.compile(r"[0-9]+")
+# A token is an ASCII integer, an ASCII name or one other non-space
+# character; whitespace between tokens is skipped by the search.
+_TOKEN = re.compile(r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|\S")
 
 
 class _Tokens:
+    """The (kind, text, offset) tokens of a text, read once, ending in ``(None, "", len(text))``."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.items = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.items.append((None, "", len(text)))
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def peek(self) -> tuple:
+        return self.items[self.i]
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            raise ExprSyntaxError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def try_take(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def take(self, ch: str) -> bool:
+        if self.items[self.i][1] == ch:
+            self.i += 1
             return True
         return False
 
+    def expect(self, ch: str):
+        if not self.take(ch):
+            raise ExprSyntaxError(f"expected {ch!r}", self.peek()[2])
+
     def take_int(self) -> int:
-        self.skip_ws()
-        sign = -1 if self.try_take("-") else 1
-        self.skip_ws()
-        m = _NUM_RE.match(self.text, self.pos)
-        if not m:
-            raise ExprSyntaxError("expected an integer", self.pos)
-        self.pos = m.end()
-        return sign * int(m.group())
+        sign = -1 if self.take("-") else 1
+        kind, tok, pos = self.peek()
+        if kind != "int":
+            raise ExprSyntaxError("expected an integer", pos)
+        self.i += 1
+        return sign * int(tok)
 
     def take_rational(self) -> Fraction:
         num = self.take_int()
-        if self.peek() == "/":
-            self.pos += 1
-            self.skip_ws()
-            pos = self.pos
+        if self.take("/"):
+            pos = self.peek()[2]
             den = self.take_int()
             if den == 0:
                 raise ExprSyntaxError("zero denominator", pos)
             return Fraction(num, den)
         return Fraction(num)
 
-    def take_name(self) -> str:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise ExprSyntaxError("expected a name", self.pos)
-        self.pos = m.end()
-        return m.group()
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+    def take_list(self, read: Callable) -> list:
+        """``read()`` once, then again after each ','."""
+        items = [read()]
+        while self.take(","):
+            items.append(read())
+        return items
 
 
 def parse(text: str) -> Node:
     """Parse expression text into a kind-checked AST."""
     toks = _Tokens(text)
     node = _parse_expr(toks)
-    if not toks.at_end():
-        raise ExprSyntaxError("unexpected trailing input", toks.pos)
+    _, tok, pos = toks.peek()
+    if tok:
+        raise ExprSyntaxError("unexpected trailing input", pos)
     node_kind(node)  # force the static kind check over the whole tree
     return node
 
 
 def _parse_expr(toks: _Tokens) -> Node:
-    pos = toks.pos
-    negate = toks.try_take("-")
+    pos = toks.peek()[2]
+    negate = toks.take("-")
     node = _parse_term(toks)
     if negate:
         node = _negate(node, pos)
-    while True:
-        ch = toks.peek()
-        if ch == "+":
-            toks.pos += 1
-            node = BinOp("+", node, _parse_term(toks), pos)
-        elif ch == "-":
-            toks.pos += 1
-            node = BinOp("-", node, _parse_term(toks), pos)
-        else:
-            return node
+    while (op := toks.peek()[1]) in ("+", "-"):
+        toks.i += 1
+        node = BinOp(op, node, _parse_term(toks), pos)
+    return node
 
 
 def _negate(node: Node, pos: int) -> Node:
@@ -245,63 +227,47 @@ def _negate(node: Node, pos: int) -> Node:
     return ScalarMul(Fraction(-1), node, pos)
 
 
+# Both dispatch tests read the first character with str.isdigit/isalpha, so
+# a non-ASCII digit or letter is an error at its offset, not another token.
 def _parse_term(toks: _Tokens) -> Node:
-    ch = toks.peek()
-    pos = toks.pos
-    if ch.isdigit():
+    _, tok, pos = toks.peek()
+    if tok[:1].isdigit():
         scalar = toks.take_rational()
-        if toks.try_take("*"):
+        if toks.take("*"):
             return ScalarMul(scalar, _parse_atom(toks), pos)
         return Literal(SCALAR, scalar, pos)
     return _parse_atom(toks)
 
 
 def _parse_atom(toks: _Tokens) -> Node:
-    ch = toks.peek()
-    pos = toks.pos
-    if ch == "[":
-        return _parse_bracket(toks)
-    if ch == "(":
-        return _parse_tensor(toks)
-    if ch.isalpha():
-        name = toks.take_name()
-        if _WORD_RE.match(name):
-            return Literal(WORD, words.Word.from_text(name), pos)
-        if name in _CALL_NAMES:
+    kind, tok, pos = toks.peek()
+    toks.i += 1
+    if tok == "[":
+        entries = toks.take_list(toks.take_int)
+        if toks.take("|"):
+            r_row = toks.take_list(toks.take_rational)
+            toks.expect("]")
+            return Literal(BICOMPOSITION, comp.BiComposition.make(entries, r_row), pos)
+        toks.expect("]")
+        return Literal(COMPOSITION, comp.Composition(tuple(entries)), pos)
+    if tok == "(":
+        entries = toks.take_list(toks.take_int)
+        toks.expect(")")
+        return Literal(TENSOR, frba.TensorWord(tuple(entries)), pos)
+    if tok[:1].isalpha():
+        if kind != "name":
+            raise ExprSyntaxError("expected a name", pos)
+        if words.WORD_SYNTAX.fullmatch(tok):
+            return Literal(WORD, words.Word.from_text(tok), pos)
+        if tok in _CALL_NAMES:
             toks.expect("(")
             args = [_parse_expr(toks)]
-            while toks.try_take(",") or toks.try_take(";"):
+            while toks.take(",") or toks.take(";"):
                 args.append(_parse_expr(toks))
             toks.expect(")")
-            return Call(name, tuple(args), pos)
-        raise ExprSyntaxError(f"unknown name {name!r}", pos)
+            return Call(tok, tuple(args), pos)
+        raise ExprSyntaxError(f"unknown name {tok!r}", pos)
     raise ExprSyntaxError("expected a literal or function call", pos)
-
-
-def _parse_bracket(toks: _Tokens) -> Node:
-    pos = toks.pos
-    toks.expect("[")
-    entries = [toks.take_int()]
-    while toks.try_take(","):
-        entries.append(toks.take_int())
-    if toks.try_take("|"):
-        r_row = [toks.take_rational()]
-        while toks.try_take(","):
-            r_row.append(toks.take_rational())
-        toks.expect("]")
-        return Literal(BICOMPOSITION, comp.BiComposition.make(entries, r_row), pos)
-    toks.expect("]")
-    return Literal(COMPOSITION, comp.Composition(tuple(entries)), pos)
-
-
-def _parse_tensor(toks: _Tokens) -> Node:
-    pos = toks.pos
-    toks.expect("(")
-    entries = [toks.take_int()]
-    while toks.try_take(","):
-        entries.append(toks.take_int())
-    toks.expect(")")
-    return Literal(TENSOR, frba.TensorWord(tuple(entries)), pos)
 
 
 def to_text(node: Node) -> str:

@@ -103,10 +103,6 @@ class ZetaExpr(Sparse):
     monomials = Sparse.items
 
 
-def _t_times(p: TPoly) -> TPoly:
-    return TPoly((deg + 1, c) for deg, c in p.items())
-
-
 def shuffle_regularize(s: Composition) -> TPoly:
     """Shuffle-regularized value of a positive composition, in ZetaExpr[T].
 
@@ -147,12 +143,11 @@ def _regularize_cached(entries: tuple[int, ...], kind: str) -> TPoly:
     lead = expansion.coeff(s)
     if lead != count:
         raise AssertionError(f"peeling invariant broken at {s}: {lead} != {count}")
-    out = _t_times(_regularize_cached(base.entries, kind))
+    acc = {deg + 1: c for deg, c in _regularize_cached(base.entries, kind).items()}
     for term, coeff in expansion.items():
-        if term == s:
-            continue
-        out = out + _regularize_cached(term.entries, kind).map_coeffs(lambda c: c * (-coeff))
-    return out.map_coeffs(lambda c: c * Fraction(1, count))
+        if term != s:
+            _add_into(acc, _regularize_cached(term.entries, kind).items(), -coeff)
+    return TPoly._new(acc).scale(Fraction(1, count))
 
 
 def leading_ones_decomposition(
@@ -495,3 +490,11 @@ def reg_poly_to_json(p: TPoly) -> str:
         for deg, expr in sorted(p.items())
     }
     return json.dumps(data, indent=2)
+
+
+def reg_poly_to_csv(p: TPoly) -> str:
+    lines = ["t_degree,monomial,coefficient"]
+    for deg, expr in sorted(p.items()):
+        for mono, coeff in expr.sorted_items():
+            lines.append(f"{deg},\"{_monomial_text(mono) or '1'}\",{fraction_str(coeff)}")
+    return "\n".join(lines) + "\n"

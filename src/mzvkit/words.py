@@ -9,6 +9,7 @@ are ``int`` unless a non-integer scalar enters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -21,6 +22,9 @@ if TYPE_CHECKING:
 
 X0 = 0
 X1 = 1
+
+# The word syntax, read by Word.from_text and by the expression parser.
+WORD_SYNTAX = re.compile(r"(?:x[01])*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,20 +39,13 @@ class Word:
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
-        """Parse the concatenated token syntax, e.g. ``x0x1x1``."""
-        stripped = text.strip()
-        letters = []
-        i = 0
-        while i < len(stripped):
-            tok = stripped[i : i + 2]
-            if tok == "x0":
-                letters.append(X0)
-            elif tok == "x1":
-                letters.append(X1)
-            else:
-                raise DomainError(f"invalid word syntax at offset {i}: {text!r}")
-            i += 2
-        return cls(tuple(letters))
+        """Parse the concatenated token syntax, e.g. ``x0x1x1``, between optional whitespace."""
+        body = text.strip()
+        start = len(text) - len(text.lstrip())
+        end = WORD_SYNTAX.match(text, start).end()
+        if end != start + len(body):
+            raise DomainError(f"invalid word syntax at offset {end}: {text!r}")
+        return cls(tuple(int(digit) for digit in body[1::2]))
 
     @property
     def ends_with_x1(self) -> bool:

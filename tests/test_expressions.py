@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,28 @@ class TestParse:
         for text in ("", "[1, ", "sh([1]", "x3", "1 + ", "*[1]"):
             with pytest.raises(ExprSyntaxError):
                 parse(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "expected a literal or function call at offset 0"),
+        ("   ", "expected a literal or function call at offset 3"),
+        ("sh([1],[2]", "expected ')' at offset 10"),
+        ("[1, x0]", "expected an integer at offset 4"),
+        ("2x1", "unexpected trailing input at offset 1"),
+        ("1e5", "unexpected trailing input at offset 1"),
+        ("x0x1sh", "unknown name 'x0x1sh' at offset 0"),
+        ("[1 | 1/ 0]", "zero denominator at offset 8"),
+        ("[\u0663]", "expected an integer at offset 1"),  # ARABIC-INDIC DIGIT THREE
+        ("[\u00b2]", "expected an integer at offset 1"),  # SUPERSCRIPT TWO
+        ("\u00e9", "expected a name at offset 0"),
+        ("\u0663*[1]", "expected an integer at offset 0"),
+    ])
+    def test_syntax_error_messages(self, text, message):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_non_ascii_whitespace_separates_tokens(self):
+        assert to_text(parse("[1]\xa0+\t[2]")) == "[1] + [2]"
 
     def test_kind_mismatches(self):
         for text in ("st(x1, x1)", "sh([1], x1)", "sh([1|1],[1|1])",
@@ -269,3 +292,20 @@ class TestRoundTrip:
                      "f((0,1))", "st([1,2 | 1,0], [1 | 1])"):
             node = parse(text)
             assert node == parse(to_text(node))
+
+    def test_whitespace_between_tokens_randomized(self):
+        rng = random.Random(23)
+        spaces = " \t\n\xa0\u2003"
+        count = 0
+        for _ in range(300):
+            node = _random_node(rng, rng.randint(0, 4))
+            try:
+                node_kind(node)
+            except KindError:
+                continue
+            count += 1
+            tokens = re.findall(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|\S", to_text(node))
+            gaps = ["".join(rng.choices(spaces, k=rng.randint(0, 2))) for _ in range(len(tokens) + 1)]
+            text = "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+            assert parse(text) == node, repr(text)
+        assert count > 200

@@ -32,6 +32,7 @@ from mzvkit.regularization import (
     leading_ones_decomposition,
     _convergent_pairs,
     _relation_table,
+    reg_poly_to_csv,
     reg_poly_to_json,
     relation_rank,
     relations_to_csv,
@@ -551,6 +552,11 @@ class TestExports:
         blob = json.loads(reg_poly_to_json(shuffle_regularize(C(1, 2))))
         assert blob["T^1"] == {"monomials": [{"symbols": [[2]], "coeff": "1/1"}]}
         assert blob["T^0"] == {"monomials": [{"symbols": [[2, 1]], "coeff": "-2/1"}]}
+
+    def test_reg_poly_csv(self):
+        assert reg_poly_to_csv(stuffle_regularize(C(1, 1))) == (
+            't_degree,monomial,coefficient\n0,"ζ(2)",-1/2\n2,"1",1/2\n'
+        )
 
     def test_reg_poly_str(self):
         assert str(shuffle_regularize(C(1, 2))) == "ζ(2)*T - 2*ζ(2,1)"

@@ -34,6 +34,16 @@ class TestWordType:
         with pytest.raises(DomainError):
             Word.from_text("x0x")
 
+    @pytest.mark.parametrize("text, offset", [("x2", 0), ("x0x", 2), (" x2", 1), ("  x0x1x3 ", 6)])
+    def test_bad_text_offset_counts_in_the_text_as_given(self, text, offset):
+        with pytest.raises(DomainError) as err:
+            Word.from_text(text)
+        assert str(err.value) == f"invalid word syntax at offset {offset}: {text!r}"
+
+    def test_surrounding_whitespace_is_ignored(self):
+        assert Word.from_text(" \tx0x1\n") == W("x0x1")
+        assert Word.from_text("  ") == Word()
+
     def test_predicates(self):
         assert W("x1").ends_with_x1 and not W("x1").is_convergent
         assert W("x0x1").is_convergent
