@@ -14,14 +14,12 @@ basis map merges terms.  The shuffle recursion needs no pruning: its
 coefficients never cancel.
 Coefficients are ``int`` unless a non-integer scalar enters (:func:`_exact`).
 Values are immutable after construction and safe to share between threads.
-Inside a :func:`shared_products` block the products of the current thread
-share the recursion memos of :func:`mixable_shuffle`, and nothing else.
+Every :func:`mixable_shuffle` call builds its products from scratch and
+keeps nothing once it returns.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
 from itertools import compress
 from math import isqrt, lcm
@@ -277,41 +275,6 @@ def bilinear(
     return LinComb._new(acc)
 
 
-# the scope of the innermost open shared_products block of this context, or None
-_SHARED: ContextVar[dict | None] = ContextVar("mzvkit_shared_products", default=None)
-
-
-@contextmanager
-def shared_products() -> Iterator[None]:
-    """Let the products computed in the block share their recursion memos.
-
-    Inside the block, :func:`mixable_shuffle` keeps one recursion memo per
-    (weight, merge) instead of one per call, so a batch of products over
-    overlapping inputs computes each sub-product once.  Terms are not
-    shared here: the composition products intern theirs through one
-    constructor, in and out of a block.  The scope belongs to the current
-    context (so to the current thread) and is freed when the block exits; a
-    nested block has a scope of its own.  Results are equal with or without
-    the block.
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def shared_dict(key: Hashable) -> dict | None:
-    """The dict stored under ``key`` in the open :func:`shared_products` scope, or None outside one."""
-    scope = _SHARED.get()
-    if scope is None:
-        return None
-    table = scope.get(key)
-    if table is None:
-        table = scope[key] = {}
-    return table
-
-
 def mixable_shuffle(
     a: tuple,
     b: tuple,
@@ -336,46 +299,39 @@ def mixable_shuffle(
     multiple of a power of the exact nonzero lam (weight 0 has no merged
     slots and k = 0), and no sum cancels for any lam.
 
-    The memo of the recursion lives for one call, except inside a
-    :func:`shared_products` block, where the calls of one (weight, merge)
-    share it; this memo is all that a block shares.  Only the relation
-    table of a weight opens such a block.
+    The products are built bottom-up over suffix positions, two rows at a
+    time: ``below[j]`` is the product of ``a[i+1:]`` and ``b[j:]``, ``row[j]``
+    that of ``a[i:]`` and ``b[j:]``.  Each state adds the head of ``a`` over
+    (i+1, j), then the head of ``b`` over (i, j+1), then the merged heads over
+    (i+1, j+1), so ``merge`` runs once per pair of positions, and nothing
+    outlives the call.
     """
     lam = _exact(weight)
-    memo = shared_dict(("mixable_shuffle", type(lam), lam, merge))
-    if memo is None:
-        memo = {}
-
-    def rec(x: tuple, y: tuple) -> dict[tuple, Scalar]:
-        if not x:
-            return {y: 1}
-        if not y:
-            return {x: 1}
-        key = (x, y)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        head_x, head_y = (x[0],), (y[0],)
-        out = {head_x + tail: c for tail, c in rec(x[1:], y).items()}  # distinct keys
-        for tail, c in rec(x, y[1:]).items():
-            t = head_y + tail
-            out[t] = out.get(t, 0) + c
-        if lam:
-            if merge is None:
-                raise MergeUndefinedError(
-                    "weighted shuffle requires a merge operation on atoms"
-                )
-            merged = (merge(x[0], y[0]),)
-            for tail, c in rec(x[1:], y[1:]).items():
-                t = merged + tail
-                out[t] = out.get(t, 0) + c * lam
-        memo[key] = out
-        return out
-
-    try:
-        return LinComb._new(rec(tuple(a), tuple(b)))
-    finally:
-        rec = None  # rec refers to itself: break the cycle so that a memo is freed with its last user
+    a, b = tuple(a), tuple(b)
+    if not a or not b:
+        return LinComb._new({a + b: 1})
+    if lam and merge is None:
+        raise MergeUndefinedError("weighted shuffle requires a merge operation on atoms")
+    heads_b = [(y,) for y in b]
+    below = [{b[j:]: 1} for j in range(len(b) + 1)]
+    for i in range(len(a) - 1, -1, -1):
+        x = a[i]
+        head = (x,)
+        row = [None] * len(b) + [{a[i:]: 1}]
+        for j in range(len(b) - 1, -1, -1):
+            out = {head + tail: c for tail, c in below[j].items()}  # distinct keys
+            head_y = heads_b[j]
+            for tail, c in row[j + 1].items():
+                t = head_y + tail
+                out[t] = out.get(t, 0) + c
+            if lam:
+                merged = (merge(x, b[j]),)
+                for tail, c in below[j + 1].items():
+                    t = merged + tail
+                    out[t] = out.get(t, 0) + c * lam
+            row[j] = out
+        below = row
+    return LinComb._new(below[0])
 
 
 def _nonnegative_degree(deg: int) -> int:

@@ -32,7 +32,7 @@ from .compositions import (
     shuffle,
     stuffle,
 )
-from .core import DomainError, LinComb, Sparse, TPoly, _add_into, matrix_rank, shared_products
+from .core import DomainError, LinComb, Sparse, TPoly, _add_into, matrix_rank
 from .numerics import DEFAULT_CTX, PrecisionContext, zeta_pos
 
 
@@ -45,6 +45,9 @@ class MZVSymbol:
     def __post_init__(self):
         if not self.index.is_convergent:
             raise DomainError(f"MZV symbols need convergent indices: {self.index}")
+
+    def __hash__(self) -> int:
+        return self.index._hash  # stored by the index at construction
 
     def sort_key(self):
         return self.index.sort_key()
@@ -258,13 +261,12 @@ def _relation_table(weight: int) -> tuple[tuple[Relation, ...], int]:
                     checked.add(term)
             out.append(Relation._checked(diff, weight, (w1, w2)))
 
-    with shared_products():  # the pairs overlap in most sub-products
-        for w1, w2 in _convergent_pairs(weight):
-            add_relation(w1, w2)
-        count = len(out)
-        z1 = ones(1)
-        for w2 in convergent_compositions(weight - 1):
-            add_relation(z1, w2)
+    for w1, w2 in _convergent_pairs(weight):
+        add_relation(w1, w2)
+    count = len(out)
+    z1 = ones(1)
+    for w2 in convergent_compositions(weight - 1):
+        add_relation(z1, w2)
     return tuple(out), count
 
 

@@ -396,3 +396,14 @@ def test_stdout_bytes_equal_out_file(tmp_path, capsysbinary, argv, fmt):
     assert capsysbinary.readouterr().out == b""
     assert stdout == target.read_bytes()
     assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n")
+
+
+def test_python_m_mzvkit_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(mzvkit.__file__).resolve().parents[1])}
+    module = [sys.executable, "-m", "mzvkit"]
+    rank = subprocess.run(
+        module + ["rank", "--weight", "5", "--format", "csv"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert rank.returncode == 0 and rank.stdout.splitlines()[1] == "5,6,2"
+    zeta = subprocess.run(module + ["zeta", "1"], capture_output=True, text=True, env=env, timeout=60)
+    assert zeta.returncode == 1 and zeta.stdout == "" and zeta.stderr.startswith("error:")

@@ -113,10 +113,10 @@ class TestExtendedShuffle:
         assert stuffle(s, t) is stuffle(s, t)
 
     def test_products_hand_out_one_object_per_term(self):
-        # outside any shared_products block every product builds its terms
-        # through the one interning constructor.  The caches start empty: a
-        # term that _composition has evicted while _from_exponents still
-        # holds it comes back as an equal but distinct object
+        # every product builds its terms through the one interning
+        # constructor.  The caches start empty: a term that _composition has
+        # evicted while _from_exponents still holds it comes back as an equal
+        # but distinct object
         s, t = C(2, 1, 3), C(1, 2, 1)
         for cache in (comp._shuffle_entries, comp._stuffle_entries, comp._composition, comp._from_exponents):
             cache.cache_clear()

@@ -6,7 +6,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from mzvkit import compositions as comp
 from mzvkit.compositions import Composition, positive_compositions, shuffle, stuffle
-from mzvkit.core import shared_dict, shared_products
 from mzvkit.numerics import PrecisionContext, mzv_eval
 from mzvkit.regularization import _relation_table, extended_double_shuffle_relations, shuffle_regularize
 
@@ -39,8 +38,8 @@ def test_numeric_and_regularized_values_match_under_threads():
 
 
 def test_relation_tables_match_sequential_under_threads():
-    # each build shares its products in a block of its own thread; more
-    # workers than cores and a short switch interval interleave the builds
+    # more workers than cores and a short switch interval interleave the
+    # builds, which share the bounded product and term caches
     weights = (6, 7, 8, 9)
     sequential = [extended_double_shuffle_relations(w) for w in weights]
     _relation_table.cache_clear()
@@ -55,11 +54,3 @@ def test_relation_tables_match_sequential_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == sequential
-
-
-def test_worker_thread_sees_no_open_block():
-    with shared_products():
-        assert shared_dict("probe") is not None
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            assert executor.submit(shared_dict, "probe").result() is None
-        assert shared_dict("probe") is not None

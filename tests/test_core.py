@@ -190,6 +190,7 @@ class TestMixableShuffle:
     def test_merge_required_for_nonzero_weight(self):
         with pytest.raises(MergeUndefinedError):
             mixable_shuffle((1,), (1,), weight=1)
+        assert mixable_shuffle((), (1,), weight=1) == LinComb({(1,): 1})  # nothing to merge
 
     def test_partial_merge_error_propagates(self):
         def partial(x, y):
@@ -234,9 +235,7 @@ class TestMixableShuffle:
     def test_agrees_with_brute_force_oracle(self):
         # every pair of {1,2}-sequences with joint length <= 7, at three
         # weights, and with joint length <= 6 at two negative ones, where a
-        # cancellation (which the recursion does not prune) would show; each
-        # product once on its own and once inside one shared block, where
-        # the products of a weight share one memo
+        # cancellation (which the recursion does not prune) would show
         cases = [
             (a, b, lam)
             for k in range(1, 7)
@@ -246,16 +245,60 @@ class TestMixableShuffle:
             for lam in (0, 1, Fraction(1, 2), -1, Fraction(-1, 2))
             if lam >= 0 or k + l <= 6
         ]
-        with core.shared_products():
-            shared = [mixable_shuffle(a, b, lam, add) for a, b, lam in cases]
-        for (a, b, lam), got in zip(cases, shared):
-            want = brute_mixable(a, b, lam, add)
-            assert mixable_shuffle(a, b, lam, add) == want, (a, b, lam)
-            assert got == want, (a, b, lam, "shared")
+        for a, b, lam in cases:
+            assert mixable_shuffle(a, b, lam, add) == brute_mixable(a, b, lam, add), (a, b, lam)
+
+    def test_terms_come_head_of_a_first_then_head_of_b_then_merged(self):
+        # every sub-product lists its a-head terms, then its b-head terms, then its merged ones
+        got = list(mixable_shuffle((1, 2), (3, 4), Fraction(1, 2), add).items())
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        assert got == [
+            ((1, 2, 3, 4), 1), ((1, 3, 2, 4), 1), ((1, 3, 4, 2), 1), ((1, 3, 6), half), ((1, 5, 4), half),
+            ((3, 1, 2, 4), 1), ((3, 1, 4, 2), 1), ((3, 1, 6), half), ((3, 4, 1, 2), 1), ((3, 5, 2), half),
+            ((4, 2, 4), half), ((4, 4, 2), half), ((4, 6), quarter),
+        ]
+        assert [type(c) for _, c in got] == [int, int, int, Fraction, Fraction, int, int, Fraction, int,
+                                            Fraction, Fraction, Fraction, Fraction]
+
+    def test_equal_weights_of_other_types_keep_their_coefficients(self):
+        a, b = (1, 2), (1,)
+        typed = lambda p: sorted((t, type(c).__name__) for t, c in p.items())
+        ints, fractions = (typed(mixable_shuffle(a, b, lam, add)) for lam in (1, Fraction(1)))
+        assert {name for _, name in ints} == {"int"}
+        assert ints != fractions
+
+    def test_merge_runs_once_per_pair_of_positions(self):
+        merge = CountingAdd()
+        a, b = (1, 2, 1, 2), (2, 1, 1)
+        mixable_shuffle(a, b, 1, merge)
+        assert merge.calls == len(a) * len(b)
+        mixable_shuffle(a, b, 1, merge)
+        assert merge.calls == 2 * len(a) * len(b)  # nothing is kept between calls
+
+    def test_atoms_are_freed_with_the_result(self):
+        # the collector is off, so only reference counts can free the atoms:
+        # a cycle anywhere in the call would keep them alive
+        class Atom:
+            def __init__(self, n):
+                self.n = n
+
+        gc.disable()
+        try:
+            for weight, merge in ((0, None), (1, lambda x, y: Atom(x.n + y.n))):
+                atoms = [Atom(n) for n in range(5)]
+                alive = [weakref.ref(atom) for atom in atoms]
+                result = mixable_shuffle(tuple(atoms[:3]), tuple(atoms[3:]), weight, merge)
+                assert len(result) == (10 if weight == 0 else 25)
+                del atoms
+                assert all(ref() is not None for ref in alive)
+                del result
+                assert all(ref() is None for ref in alive)
+        finally:
+            gc.enable()
 
 
 class CountingAdd:
-    """``add`` that counts its calls: a shared memo shows as calls not made."""
+    """``add`` that counts its calls."""
 
     def __init__(self):
         self.calls = 0
@@ -263,93 +306,6 @@ class CountingAdd:
     def __call__(self, x, y):
         self.calls += 1
         return x + y
-
-
-class TestSharedProducts:
-    # the brute-force oracle inside a block: TestMixableShuffle.test_agrees_with_brute_force_oracle
-
-    def test_equal_weights_of_other_types_keep_their_coefficients(self):
-        a, b = (1, 2), (1,)
-        with core.shared_products():
-            inside = [mixable_shuffle(a, b, lam, add) for lam in (1, Fraction(1))]
-        outside = [mixable_shuffle(a, b, lam, add) for lam in (1, Fraction(1))]
-        typed = lambda p: sorted((t, type(c).__name__) for t, c in p.items())
-        assert list(map(typed, inside)) == list(map(typed, outside))
-        assert typed(outside[0]) != typed(outside[1])
-
-    def test_each_merge_has_its_own_memo(self):
-        a, b = (1, 2, 3), (2, 3)
-        merges = (add, max, lambda x, y: x * y)
-        with core.shared_products():
-            inside = [mixable_shuffle(a, b, 1, merge) for merge in merges]
-        assert inside == [mixable_shuffle(a, b, 1, merge) for merge in merges]
-
-    def test_calls_share_the_memo_only_inside_the_block(self):
-        merge = CountingAdd()
-        a, b = (1, 2, 1, 2), (2, 1, 1)
-        mixable_shuffle(a, b, 1, merge)
-        once = merge.calls
-        assert once > 0
-        mixable_shuffle(a, b, 1, merge)
-        assert merge.calls == 2 * once  # a fresh memo per call
-        with core.shared_products():
-            mixable_shuffle(a, b, 1, merge)
-            mixable_shuffle(a, b, 1, merge)
-            mixable_shuffle(a[1:], b, 1, merge)  # a sub-product of the first call
-            assert merge.calls == 3 * once
-        mixable_shuffle(a, b, 1, merge)
-        assert merge.calls == 4 * once
-
-    def test_memo_is_freed_when_the_block_exits(self):
-        # atoms that die only with the memo keys holding them; the collector
-        # is off, so nothing but reference counts can free the memo
-        class Atom:
-            def __init__(self, n):
-                self.n = n
-
-        atoms = [Atom(n) for n in range(5)]
-        alive = [weakref.ref(atom) for atom in atoms]
-        gc.disable()
-        try:
-            with core.shared_products():
-                assert len(mixable_shuffle(tuple(atoms[:3]), tuple(atoms[3:]))) == 10
-                del atoms
-                assert all(ref() is not None for ref in alive)
-            assert all(ref() is None for ref in alive)
-        finally:
-            gc.enable()
-
-    def test_memo_is_freed_when_the_block_raises(self):
-        def partial(x, y):
-            raise MergeUndefinedError(f"cannot merge {x} and {y}")
-
-        with pytest.raises(MergeUndefinedError):
-            with core.shared_products():
-                assert core.shared_dict("probe") == {}
-                mixable_shuffle((1,), (1,), weight=1, merge=partial)
-        assert core.shared_dict("probe") is None
-        merge = CountingAdd()
-        mixable_shuffle((1, 2), (1,), 1, merge)
-        once = merge.calls
-        mixable_shuffle((1, 2), (1,), 1, merge)
-        assert merge.calls == 2 * once
-
-    def test_nested_block_has_its_own_scope(self):
-        merge = CountingAdd()
-        a, b = (2, 1, 2), (1, 1)
-        with core.shared_products():
-            outer = core.shared_dict("probe")
-            first = mixable_shuffle(a, b, 1, merge)
-            once = merge.calls
-            with core.shared_products():
-                assert core.shared_dict("probe") is not outer
-                assert mixable_shuffle(a, b, 1, merge) == first
-                assert mixable_shuffle(a, b, 1, merge) == first
-                assert merge.calls == 2 * once
-            assert core.shared_dict("probe") is outer
-            assert mixable_shuffle(a, b, 1, merge) == first
-            assert merge.calls == 2 * once
-        assert core.shared_dict("probe") is None
 
 
 class TestTPoly:

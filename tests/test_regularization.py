@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from mzvkit.compositions import (
     shuffle,
     stuffle,
 )
-from mzvkit.core import DomainError, LinComb, TPoly, bilinear, matrix_rank, shared_dict
+from mzvkit.core import DomainError, LinComb, TPoly, bilinear, matrix_rank
 from mzvkit.numerics import PrecisionContext, eval_reg_poly, zeta_pos
 from mzvkit.regularization import (
     MZVSymbol,
@@ -59,6 +61,16 @@ class TestZetaExpr:
     def test_symbol_requires_convergent(self):
         with pytest.raises(DomainError):
             MZVSymbol(C(1, 2))
+
+    def test_equal_symbols_are_one_key(self):
+        # the hash is the one the index stored; equality still compares indices
+        s, t = MZVSymbol(C(2, 1)), MZVSymbol(Composition((2, 1)))
+        copies = [pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)]
+        for u in [t, *copies]:
+            assert u == s and hash(u) == hash(s) == hash(s.index)
+            assert {s: "found"}[u] == "found" and {u: "found"}[s] == "found"
+            assert repr(u) == "MZVSymbol(index=Composition(entries=(2, 1)))"
+        assert MZVSymbol(C(2, 1)) != MZVSymbol(C(3)) and MZVSymbol(C(3)) != C(3)
 
     def test_ring_ops(self):
         a = ZetaExpr.symbol(C(2))
@@ -367,14 +379,14 @@ EDS_DIGESTS = {
 
 
 class TestSharedTable:
-    # _relation_table builds its products inside one shared_products block
+    # _relation_table builds one table per weight, from the same shuffle and
+    # stuffle products as any other caller, and caches it
 
     @pytest.mark.parametrize("weight", range(2, 11))
     def test_table_matches_products_built_outside_a_block(self, weight):
         table = extended_double_shuffle_relations(weight)
         comp._shuffle_entries.cache_clear()
         comp._stuffle_entries.cache_clear()
-        assert shared_dict("probe") is None
         pairs = list(_convergent_pairs(weight)) + [(C(1), s) for s in convergent_compositions(weight - 1)]
         rebuilt = [((u, v), diff) for u, v in pairs if (diff := shuffle(u, v) - stuffle(u, v))]
         assert [rel.source for rel in table] == [source for source, _ in rebuilt]
