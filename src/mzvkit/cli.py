@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from decimal import Decimal
+from json.encoder import encode_basestring_ascii
 
 from . import expressions as expr
 from . import numerics as num
@@ -69,21 +70,34 @@ def _emit(args, text: str) -> None:
         print(body)
 
 
-def _value_json(value: expr.Value) -> dict:
+def _basis_json(kind: str, basis) -> str:
+    """JSON text of one basis element, at the indent of a term's fields."""
+    if kind == expr.WORD:
+        return encode_basestring_ascii(str(basis))
+    if kind == expr.BICOMPOSITION:
+        s_row = reg.json_join(map(str, basis.s_row), "\n        ")
+        r_row = reg.json_join(map(reg.fraction_json, basis.r_row), "\n        ")
+        return reg.json_join(('"s": ' + s_row, '"r": ' + r_row), "\n      ", "{}")
+    entries = basis.entries if kind == expr.COMPOSITION else basis.exponents
+    return reg.json_join(map(str, entries), "\n      ")
+
+
+def _value_to_json(value: expr.Value) -> str:
+    """``json.dumps(..., indent=2)`` of ``{"kind", "value"}`` for a scalar, else of ``{"kind", "terms"}``.
+
+    Each term is ``{"basis", "coeff"}``: a word as its text, a composition or
+    a tensor as its entry list, a two-row symbol as ``{"s", "r"}`` lists;
+    coefficients and r entries are ``fraction_str`` strings.
+    """
     if value.kind == expr.SCALAR:
-        return {"kind": "scalar", "value": reg.fraction_str(value.scalar)}
-    terms = []
-    for basis, coeff in value.combo.sorted_items():
-        if value.kind == expr.WORD:
-            rendered: object = str(basis)
-        elif value.kind == expr.COMPOSITION:
-            rendered = list(basis.entries)
-        elif value.kind == expr.BICOMPOSITION:
-            rendered = {"s": list(basis.s_row), "r": [reg.fraction_str(r) for r in basis.r_row]}
-        else:
-            rendered = list(basis.exponents)
-        terms.append({"basis": rendered, "coeff": reg.fraction_str(coeff)})
-    return {"kind": value.kind, "terms": terms}
+        fields = ('"kind": "scalar"', '"value": ' + reg.fraction_json(value.scalar))
+    else:
+        terms = [
+            reg.json_join(('"basis": ' + _basis_json(value.kind, b), '"coeff": ' + reg.fraction_json(c)), "\n    ", "{}")
+            for b, c in value.combo.sorted_items()
+        ]
+        fields = ('"kind": ' + encode_basestring_ascii(value.kind), '"terms": ' + reg.json_join(terms, "\n  "))
+    return reg.json_join(fields, "\n", "{}")
 
 
 def _value_csv(value: expr.Value) -> str:
@@ -101,7 +115,7 @@ def _cmd_eval(args) -> int:
     if args.format == "text":
         _emit(args, str(value))
     elif args.format == "json":
-        _emit(args, json.dumps(_value_json(value), indent=2))
+        _emit(args, _value_to_json(value))
     else:
         _emit(args, _value_csv(value))
     return 0

@@ -257,6 +257,11 @@ def _merge_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] + b[0], a[1] + b[1])
 
 
+def _rational(rows: tuple) -> bool:
+    """Whether a product of symbols with these r entries gives its terms ``Fraction`` r entries: some entry is one."""
+    return Fraction in map(type, rows)
+
+
 def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiComposition]:
     """Mixable shuffle of the (s, r) columns of two-row symbols at the given weight.
 
@@ -279,7 +284,7 @@ def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiCom
     numerators = {n for _, n in a + b}
     if weight:
         numerators.update(m + n for _, m in a for _, n in b)
-    rational = any(type(r) is Fraction for r in rows)
+    rational = _rational(rows)
     values = {n: Fraction(n, d) if rational else n for n in numerators}
     r_value = values.__getitem__
     r_ratio = {n: _ratio(r) for n, r in values.items()}.__getitem__
@@ -291,9 +296,17 @@ def _column_shuffle(u: BiComposition, v: BiComposition, weight) -> LinComb[BiCom
     return mixable_shuffle(a, b, weight, _merge_pairs).map_basis(term)
 
 
+# [1 | 1] and [1 | Fraction(1)] are one symbol, and so one key, but their
+# products differ in the type of their r entries; the flag of that rule,
+# passed along with the symbols, keeps the two apart
+@lru_cache(maxsize=8192)
+def _bistuffle_symbols(u: BiComposition, v: BiComposition, rational: bool) -> LinComb[BiComposition]:
+    return _column_shuffle(u, v, 1)
+
+
 def bistuffle(u: BiComposition, v: BiComposition) -> LinComb[BiComposition]:
     """Quasi-shuffle of two-row symbols; merged columns add componentwise."""
-    return _column_shuffle(u, v, 1)
+    return _bistuffle_symbols(u, v, _rational(u.r_row + v.r_row))
 
 
 def ones(n: int) -> Composition:

@@ -12,7 +12,8 @@ Rota-Baxter target through the universal property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Callable, TypeVar
@@ -26,9 +27,14 @@ T = TypeVar("T")
 
 @dataclass(frozen=True, slots=True)
 class TensorWord:
-    """Exponent tensor (n1, ..., nk), k >= 1, all >= 0, last >= 1."""
+    """Exponent tensor (n1, ..., nk), k >= 1, all >= 0, last >= 1.
+
+    As for :class:`~mzvkit.compositions.Composition`, the hash is computed
+    once, at construction, and kept in a hidden slot.
+    """
 
     exponents: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.exponents:
@@ -37,6 +43,13 @@ class TensorWord:
             raise DomainError(f"exponents must be >= 0: {self}")
         if self.exponents[-1] < 1:
             raise DomainError(f"last exponent must be >= 1: {self}")
+        object.__setattr__(self, "_hash", hash(self.exponents))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (TensorWord, (self.exponents,))
 
     @property
     def degree(self) -> int:
@@ -51,14 +64,22 @@ class TensorWord:
 
 GENERATOR = TensorWord((1,))
 
-_new, _set_exponents = object.__new__, TensorWord.exponents.__set__
+_new, _set_exponents, _set_hash = object.__new__, TensorWord.exponents.__set__, TensorWord._hash.__set__
 
 
 def _trusted_tensor(exponents: tuple[int, ...]) -> TensorWord:
     """``TensorWord(exponents)`` for exponents known to be valid, unchecked; only :func:`product` calls it."""
     t = _new(TensorWord)
     _set_exponents(t, exponents)
+    _set_hash(t, hash(exponents))
     return t
+
+
+# keyed on the exponent tuples, which hash in C
+@lru_cache(maxsize=8192)
+def _product_exponents(x: tuple[int, ...], y: tuple[int, ...]) -> LinComb[TensorWord]:
+    first = x[0] + y[0]
+    return mixable_shuffle(x[1:], y[1:]).map_basis(lambda t: _trusted_tensor((first,) + t))
 
 
 def product(a: TensorWord, b: TensorWord) -> LinComb[TensorWord]:
@@ -68,9 +89,7 @@ def product(a: TensorWord, b: TensorWord) -> LinComb[TensorWord]:
     of a and b, with the first two added, so they are >= 0, and the last is
     the last of a or of b, or the sum of both when neither has a tail.
     """
-    first = a.exponents[0] + b.exponents[0]
-    tails = mixable_shuffle(a.exponents[1:], b.exponents[1:])
-    return tails.map_basis(lambda t: _trusted_tensor((first,) + t))
+    return _product_exponents(a.exponents, b.exponents)
 
 
 def nest(t: TensorWord) -> TensorWord:

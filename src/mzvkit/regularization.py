@@ -17,7 +17,6 @@ dimension.  The CSV and JSON exports close the module.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -409,6 +408,11 @@ def fraction_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+def fraction_json(c: Fraction) -> str:
+    """``fraction_str(c)`` as a JSON string."""
+    return encode_basestring_ascii(fraction_str(c))
+
+
 def _piece(texts: dict, s: Composition, render) -> tuple:
     """(sort key, ``render(s)``) of ``s``, kept in ``texts`` by its entries.
 
@@ -438,10 +442,19 @@ def relations_to_csv(relations: Iterable[Relation]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _entry_list(s: Composition, newline: str) -> str:
-    """``json.dumps(list(s.entries), indent=2)`` at the indent that ``newline`` ends in."""
+def json_join(items: Iterable[str], newline: str, brackets: str = "[]") -> str:
+    """``json.dumps(..., indent=2)`` of a list, or with ``brackets="{}"`` an object, from encoded items.
+
+    Each item is the text of one element (for an object, of one ``"key":
+    value`` pair) already encoded at the indent one step past the indent
+    that ``newline`` ends in.  With no items this is ``[]`` or ``{}``.
+    This is the one JSON encoder of the exports: with ``indent`` set,
+    ``json.dumps`` falls back to its pure-Python encoder.
+    """
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(str, s.entries)) + newline + "]"
+    body = ("," + inner).join(items)
+    # one f-string copies the body once, where a chain of + copies it per operand
+    return f"{brackets[0]}{inner}{body}{newline}{brackets[1]}" if body else brackets
 
 
 def relations_to_json(relations: Iterable[Relation]) -> str:
@@ -449,49 +462,55 @@ def relations_to_json(relations: Iterable[Relation]) -> str:
 
     Each record is ``{"weight", "source_pair", "terms"}`` with compositions
     as entry lists and coefficients as ``fraction_str`` strings.  The text of
-    each term composition and of each coefficient is made once per call; the
-    record skeleton around them is fixed.  This is the one hand-written JSON
-    encoder: relation tables are large, and with ``indent`` set
-    ``json.dumps`` falls back to its pure-Python encoder.
+    each composition and of each coefficient is made once per call; the
+    record skeleton around them is fixed.
     """
     texts: dict = {}
     coeffs: dict = {}
+    sources: dict = {}
 
     def term_head(s: Composition) -> str:
-        return '{\n        "composition": ' + _entry_list(s, "\n        ") + ',\n        "coeff": '
+        return '{\n        "composition": ' + json_join(map(str, s.entries), "\n        ") + ',\n        "coeff": '
 
     def coeff(c) -> str:
         text = coeffs.get(c)
         if text is None:
-            text = coeffs[c] = encode_basestring_ascii(fraction_str(c)) + "\n      }"
+            text = coeffs[c] = fraction_json(c) + "\n      }"
         return text
 
-    records = [
-        '{\n    "weight": ' + str(rel.weight)
-        + ',\n    "source_pair": [\n      ' + _entry_list(rel.source[0], "\n      ")
-        + ",\n      " + _entry_list(rel.source[1], "\n      ")
-        + '\n    ],\n    "terms": [\n      '
-        + ",\n      ".join([head + coeff(c) for head, c in _sorted_terms(rel, texts, term_head)])
-        + "\n    ]\n  }"
-        for rel in relations
-    ]
-    return "[\n  " + ",\n  ".join(records) + "\n]" if records else "[]"
+    def source(s: Composition) -> str:
+        text = sources.get(s)
+        if text is None:
+            text = sources[s] = json_join(map(str, s.entries), "\n      ")
+        return text
+
+    def record(rel: Relation) -> str:
+        u, v = rel.source
+        terms = json_join([head + coeff(c) for head, c in _sorted_terms(rel, texts, term_head)], "\n    ")
+        return (
+            f'{{\n    "weight": {rel.weight},\n    "source_pair": [\n      {source(u)},\n      {source(v)}\n    ],'
+            f'\n    "terms": {terms}\n  }}'
+        )
+
+    return json_join(map(record, relations), "\n")
 
 
 def reg_poly_to_json(p: TPoly) -> str:
-    data = {
-        f"T^{deg}": {
-            "monomials": [
-                {
-                    "symbols": [list(sym.index.entries) for sym in mono],
-                    "coeff": fraction_str(coeff),
-                }
-                for mono, coeff in expr.sorted_items()
-            ]
-        }
-        for deg, expr in sorted(p.items())
-    }
-    return json.dumps(data, indent=2)
+    """``json.dumps(..., indent=2)`` of ``{"T^d": {"monomials": [{"symbols", "coeff"}]}}``.
+
+    Symbols are entry lists; the constant monomial has none.
+    """
+
+    def monomial(mono: Monomial, coeff) -> str:
+        symbols = json_join([json_join(map(str, sym.index.entries), "\n          ") for sym in mono], "\n        ")
+        fields = ('"symbols": ' + symbols, '"coeff": ' + fraction_json(coeff))
+        return json_join(fields, "\n      ", "{}")
+
+    def degree(deg: int, expr: ZetaExpr) -> str:
+        monomials = json_join([monomial(*item) for item in expr.sorted_items()], "\n    ")
+        return f'"T^{deg}": ' + json_join(['"monomials": ' + monomials], "\n  ", "{}")
+
+    return json_join([degree(*item) for item in sorted(p.items())], "\n", "{}")
 
 
 def reg_poly_to_csv(p: TPoly) -> str:

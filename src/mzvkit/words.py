@@ -10,7 +10,7 @@ are ``int`` unless a non-integer scalar enters.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING
@@ -29,13 +29,25 @@ WORD_SYNTAX = re.compile(r"(?:x[01])*")
 
 @dataclass(frozen=True, slots=True)
 class Word:
-    """Immutable word over the two-letter alphabet, stored as a 0/1 tuple."""
+    """Immutable word over the two-letter alphabet, stored as a 0/1 tuple.
+
+    As for :class:`~mzvkit.compositions.Composition`, the hash is computed
+    once, at construction, and kept in a hidden slot.
+    """
 
     letters: tuple[int, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(letter not in (X0, X1) for letter in self.letters):
             raise DomainError(f"word letters must be x0 or x1: {self.letters}")
+        object.__setattr__(self, "_hash", hash(self.letters))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Word, (self.letters,))
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
@@ -71,13 +83,14 @@ class Word:
 
 X1_WORD = Word((X1,))
 
-_new, _set_letters = object.__new__, Word.letters.__set__
+_new, _set_letters, _set_hash = object.__new__, Word.letters.__set__, Word._hash.__set__
 
 
 def _trusted_word(letters: tuple[int, ...]) -> Word:
     """``Word(letters)`` for letters known to be x0 or x1, unchecked; only the shuffle engine calls it."""
     w = _new(Word)
     _set_letters(w, letters)
+    _set_hash(w, hash(letters))
     return w
 
 

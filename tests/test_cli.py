@@ -2,8 +2,10 @@ import argparse
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,29 @@ from mzvkit import cli
 from mzvkit import compositions
 from mzvkit import expressions as expr
 from mzvkit import verification
-from mzvkit.cli import _value_json, main
+from mzvkit.cli import main
 from mzvkit.core import LinComb
+from mzvkit.regularization import fraction_str
+from mzvkit.words import Word
+
+
+def _value_json(value: expr.Value) -> dict:
+    # the record `eval --format json` wrote through json.dumps(indent=2)
+    # before the CLI wrote its text from fragments
+    if value.kind == expr.SCALAR:
+        return {"kind": "scalar", "value": fraction_str(value.scalar)}
+    terms = []
+    for basis, coeff in value.combo.sorted_items():
+        if value.kind == expr.WORD:
+            rendered: object = str(basis)
+        elif value.kind == expr.COMPOSITION:
+            rendered = list(basis.entries)
+        elif value.kind == expr.BICOMPOSITION:
+            rendered = {"s": list(basis.s_row), "r": [fraction_str(r) for r in basis.r_row]}
+        else:
+            rendered = list(basis.exponents)
+        terms.append({"basis": rendered, "coeff": fraction_str(coeff)})
+    return {"kind": value.kind, "terms": terms}
 
 
 def run(capsys, *argv):
@@ -56,6 +79,66 @@ class TestEval:
         code, out, _ = run(capsys, "eval", text, "--format", "json")
         assert code == 0
         assert out == json.dumps(_value_json(value), indent=2) + "\n"
+
+    def test_seeded_json_matches_standard_encoder(self, capsys):
+        # every value kind, sums with int and Fraction coefficients, and zero
+        # results, which print an empty term list
+        rng = random.Random(25)
+
+        def entries(low):
+            return ",".join(str(rng.randint(low, 3)) for _ in range(rng.randint(1, 3)))
+
+        def word():
+            return "".join(f"x{rng.randint(0, 1)}" for _ in range(rng.randint(0, 4))) + "x1"
+
+        def tensor():
+            return f"({','.join([str(rng.randint(0, 3)) for _ in range(rng.randint(0, 3))] + ['2'])})"
+
+        def symbol():
+            depth = rng.randint(1, 3)
+            r_row = ",".join(rng.choice(("0", "1", "1/2", "2/3")) for _ in range(depth))
+            return f"[{','.join(str(rng.randint(1, 3)) for _ in range(depth))} | {r_row}]"
+
+        def scalar():
+            return f"{rng.randint(1, 5)}/{rng.randint(1, 6)}"
+
+        def commuted():
+            a, b = f"[{entries(1)}]", f"[{entries(1)}]"
+            return f"st({a}, {b}) - st({b}, {a})"
+
+        def cancelled():
+            a = rng.choice((word, tensor, symbol, scalar))()
+            return f"{a} - {a}"
+
+        templates = (
+            lambda: f"{rng.randint(1, 3)}*sh({word()}, {word()})",
+            lambda: f"sh([{entries(0)}], [{entries(0)}])",
+            lambda: f"st([{entries(1)}], [{entries(1)}]) - {scalar()}*[{entries(1)}]",
+            lambda: f"st({symbol()}, {symbol()})",
+            lambda: f"msh({scalar()}; {symbol()}, {symbol()})",
+            lambda: f"sh({tensor()}, {tensor()})",
+            lambda: f"f({tensor()})",
+            commuted,
+            cancelled,
+            lambda: f"-{scalar()}",
+        )
+        kinds = set()
+        for i in range(120):
+            text = templates[i % len(templates)]()
+            value = expr.evaluate(expr.parse(text))
+            kinds.add((value.kind, value.scalar == 0 if value.kind == expr.SCALAR else len(value.combo) == 0))
+            code, out, _ = run(capsys, "eval", "--format", "json", "--", text)
+            assert code == 0
+            assert out == json.dumps(_value_json(value), indent=2) + "\n", text
+        every = {expr.WORD, expr.COMPOSITION, expr.BICOMPOSITION, expr.TENSOR, expr.SCALAR}
+        assert {kind for kind, _ in kinds} == every
+        assert {kind for kind, zero in kinds if zero} == every
+
+    def test_json_escapes_the_empty_word(self):
+        # the empty word, the shuffle unit, prints as ε: json.dumps writes it as \u03b5
+        value = expr.Value(expr.WORD, LinComb({Word(): 2, Word((1,)): Fraction(1, 2)}))
+        assert cli._value_to_json(value) == json.dumps(_value_json(value), indent=2)
+        assert '"\\u03b5"' in cli._value_to_json(value)
 
     def test_scalar(self, capsys):
         assert run(capsys, "eval", "1/2") == (0, "1/2\n", "")

@@ -448,6 +448,57 @@ class TestTrustedTerms:
                 assert type(term.r_row[0]) is Fraction
 
 
+def _typed(combo):
+    """The terms of a product in stored order, with the types of each coefficient and r entry."""
+    return [(term, tuple(map(type, term.r_row)), c, type(c)) for term, c in combo.items()]
+
+
+class TestBistuffleCache:
+    """``bistuffle`` keeps its results in a bounded cache keyed on the symbols and the r-entry type rule."""
+
+    def test_cached_product_is_the_column_shuffle(self):
+        # symbols as the algebra benchmark draws them: depth 1..3, s in 1..3,
+        # every r entry a Fraction; and their twins with int r entries
+        rng = random.Random(25)
+        r_values = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+
+        def draw():
+            depth = rng.randint(1, 3)
+            s_row = [rng.randint(1, 3) for _ in range(depth)]
+            return BiComposition.make(s_row, [rng.choice(r_values) for _ in range(depth)])
+
+        comp._bistuffle_symbols.cache_clear()
+        for _ in range(200):
+            u, v = draw(), draw()
+            if rng.random() < 0.3 and all(r.denominator == 1 for r in u.r_row + v.r_row):
+                u, v = (BiComposition.make(x.s_row, map(int, x.r_row)) for x in (u, v))
+            got = bistuffle(u, v)
+            assert _typed(got) == _typed(_column_shuffle(u, v, 1)), (u, v)
+            hits = comp._bistuffle_symbols.cache_info().hits
+            assert bistuffle(BiComposition(u.s_row, u.r_row), BiComposition(v.s_row, v.r_row)) is got
+            assert comp._bistuffle_symbols.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("fraction_first", [False, True])
+    def test_int_and_fraction_rows_keep_their_types(self, fraction_first):
+        # [1 | 1] and [1 | Fraction(1)] are one key as symbols; each product
+        # keeps the r-entry type of its own inputs, in either order and after a clear
+        v = BiComposition.make([2, 1], [0, 3])
+        int_row, fraction_row = BiComposition.make([1], [1]), BiComposition.make([1], [Fraction(1)])
+        order = [(int_row, int), (fraction_row, Fraction)]
+        if fraction_first:
+            order.reverse()
+        for _ in range(2):
+            comp._bistuffle_symbols.cache_clear()
+            for u, r_type in order:
+                for x, y in ((u, v), (v, u)):
+                    got = bistuffle(x, y)
+                    assert _typed(got) == _typed(_column_shuffle(x, y, 1)), (x, y)
+                    assert {t for _, types, _, _ in _typed(got) for t in types} == {r_type}
+            hits = comp._bistuffle_symbols.cache_info().hits
+            bistuffle(order[0][0], v)
+            assert comp._bistuffle_symbols.cache_info().hits == hits + 1
+
+
 class TestEnumerators:
     def test_positive_counts(self):
         for w in range(1, 9):

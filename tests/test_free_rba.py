@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from mzvkit import compositions, verification, words
+from mzvkit import compositions, free_rba, verification, words
 from mzvkit.compositions import Composition, nonnegative_compositions
-from mzvkit.core import DomainError, LinComb, matrix_rank
+from mzvkit.core import DomainError, LinComb, matrix_rank, mixable_shuffle
 from mzvkit.free_rba import (
     GENERATOR,
     TensorWord,
@@ -40,6 +40,16 @@ class TestTensorWord:
         assert str(T(0, 1)) == "(0,1)"
         assert str(T(1)) == "(1)"
 
+    def test_equal_tensors_are_one_key(self):
+        # the hash is computed once and kept; equality still compares exponents
+        t, twin = T(1, 0, 2), TensorWord((1, 0, 2))
+        copies = [pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)]
+        for u in [twin, *copies]:
+            assert u is not t and u == t and hash(u) == hash(t)
+            assert {t: "found"}[u] == "found" and {u: "found"}[t] == "found"
+            assert repr(u) == "TensorWord(exponents=(1, 0, 2))"
+        assert T(1, 0, 2) != T(2, 0, 1) and T(1, 0, 2) != (1, 0, 2)
+
 
 class TestProduct:
     def test_single_slot(self):
@@ -71,6 +81,44 @@ class TestProduct:
                 for u in (term, pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
                     assert u == twin and hash(u) == hash(twin) and {twin: "found"}[u] == "found"
                     assert repr(u) == f"TensorWord(exponents={term.exponents!r})"
+
+
+def _draw_tensor(rng, max_degree):
+    """A seeded tensor as the algebra benchmark draws them: up to 4 slots, exponents 0..3."""
+    while True:
+        t = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 4)))
+        if t[-1] >= 1 and sum(t) + len(t) - 1 <= max_degree:
+            return TensorWord(t)
+
+
+def _typed(combo):
+    """The terms of a product in stored order, with the type of each coefficient."""
+    return [(term, c, type(c)) for term, c in combo.items()]
+
+
+class TestProductCache:
+    """``product`` keeps its results in a bounded cache keyed on the exponent tuples."""
+
+    def test_cached_product_is_the_shuffle_of_the_tails(self):
+        rng = random.Random(25)
+        free_rba._product_exponents.cache_clear()
+        for _ in range(200):
+            a, b = _draw_tensor(rng, 8), _draw_tensor(rng, 8)
+            first = a.exponents[0] + b.exponents[0]
+            tails = mixable_shuffle(a.exponents[1:], b.exponents[1:])
+            want = tails.map_basis(lambda t: TensorWord((first,) + t))
+            got = product(a, b)
+            assert _typed(got) == _typed(want), (a, b)
+            hits = free_rba._product_exponents.cache_info().hits
+            assert product(TensorWord(a.exponents), TensorWord(b.exponents)) is got
+            assert free_rba._product_exponents.cache_info().hits == hits + 1
+
+    def test_cleared_cache_builds_the_same_product(self):
+        a, b = T(1, 0, 2), T(0, 2, 1)
+        before = _typed(product(a, b))
+        free_rba._product_exponents.cache_clear()
+        assert _typed(product(a, b)) == before
+        assert free_rba._product_exponents.cache_info().currsize == 1
 
 
 class TestNest:

@@ -7,6 +7,8 @@ import pytest
 from mzvkit.compositions import Composition
 from mzvkit.core import DomainError, LinComb
 from mzvkit.words import (
+    X0,
+    X1,
     Word,
     X1_WORD,
     degree,
@@ -39,6 +41,17 @@ class TestWordType:
         with pytest.raises(DomainError) as err:
             Word.from_text(text)
         assert str(err.value) == f"invalid word syntax at offset {offset}: {text!r}"
+
+    def test_equal_words_are_one_key(self):
+        # the hash is computed once and kept; equality still compares letters
+        w, twin = W("x0x1"), Word((X0, X1))
+        copies = [pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)]
+        for u in [twin, *copies]:
+            assert u is not w and u == w and hash(u) == hash(w)
+            assert {w: "found"}[u] == "found" and {u: "found"}[w] == "found"
+            assert repr(u) == "Word(letters=(0, 1))"
+        assert Word() == Word(()) and hash(Word()) == hash(Word(()))
+        assert W("x0x1") != W("x1x0") and W("x0x1") != (X0, X1)
 
     def test_surrounding_whitespace_is_ignored(self):
         assert Word.from_text(" \tx0x1\n") == W("x0x1")
