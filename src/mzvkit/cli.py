@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: eval, dsh, eds, rank, zsh, zst, rho, beta, zeta, li, zdir,
-verify.  Data goes to stdout (or --out FILE), diagnostics to stderr.  Exit
-codes: 0 success, 1 domain error, 2 syntax error, 3 precision failure.
+verify.  Each ``_cmd_*`` handler returns its text (the data commands
+through ``_render``, one renderer per --format) and ``main`` writes it once,
+to stdout or --out FILE; diagnostics go to stderr.  Exit codes: 0 success,
+1 domain error, 2 syntax error, 3 precision failure.
 """
 
 from __future__ import annotations
@@ -19,27 +21,22 @@ from . import expressions as expr
 from . import numerics as num
 from . import regularization as reg
 from . import verification
-from .compositions import BiComposition, Composition
-from .core import DomainError
+from .compositions import BiComposition
+from .core import DomainError, TPoly
 from .expressions import ExprSyntaxError
 from .numerics import DivergenceError, PrecisionContext, PrecisionError
 
 
-def _parse_composition(text: str) -> Composition:
+def _literal(text: str, kind: str, example: str):
+    """The payload of a literal of this kind; a composition also reads as a
+    two-row symbol with zero directions."""
     node = expr.parse(text)
-    if not isinstance(node, expr.Literal) or node.kind != expr.COMPOSITION:
-        raise DomainError(f"expected a composition literal like [1,2]: {text!r}")
-    return node.payload
-
-
-def _parse_bicomposition(text: str) -> BiComposition:
-    node = expr.parse(text)
-    if isinstance(node, expr.Literal) and node.kind == expr.BICOMPOSITION:
+    if isinstance(node, expr.Literal) and node.kind == kind:
         return node.payload
-    if isinstance(node, expr.Literal) and node.kind == expr.COMPOSITION:
-        payload: Composition = node.payload
-        return BiComposition.make(payload.entries, (0,) * payload.depth)
-    raise DomainError(f"expected a bi-composition literal like [2,1 | 1,0]: {text!r}")
+    if isinstance(node, expr.Literal) and node.kind == expr.COMPOSITION and kind == expr.BICOMPOSITION:
+        return BiComposition.make(node.payload.entries, (0,) * node.payload.depth)
+    name = kind.replace("bicomp", "bi-comp")
+    raise DomainError(f"expected a {name} literal like {example}: {text!r}")
 
 
 def _context(args) -> PrecisionContext:
@@ -52,9 +49,8 @@ def _add_numeric_flags(parser, tol: float = 1e-3):
     parser.add_argument("--tol", type=float, default=tol, help="target tolerance")
 
 
-def _add_output_flags(parser):
+def _add_format_flag(parser):
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--out", metavar="FILE", default=None, help="write data to FILE instead of stdout")
 
 
 def _emit(args, text: str) -> None:
@@ -110,126 +106,86 @@ def _value_csv(value: expr.Value) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_eval(args) -> int:
-    value = expr.evaluate(expr.parse(args.expression))
-    if args.format == "text":
-        _emit(args, str(value))
-    elif args.format == "json":
-        _emit(args, _value_to_json(value))
-    else:
-        _emit(args, _value_csv(value))
-    return 0
+def _render(args, value, as_text, as_json, as_csv) -> str:
+    """The text of value in the chosen --format; each renderer is a function of value."""
+    return {"text": as_text, "json": as_json, "csv": as_csv}[args.format](value)
 
 
-def _cmd_relations(args, extended: bool) -> int:
-    rels = (
-        reg.extended_double_shuffle_relations(args.weight)
-        if extended
-        else reg.double_shuffle_relations(args.weight)
-    )
-    if args.format == "csv":
-        _emit(args, reg.relations_to_csv(rels))
-    elif args.format == "json":
-        _emit(args, reg.relations_to_json(rels))
-    else:
-        lines = [f"({rel.source[0]}, {rel.source[1]}): {rel}" for rel in rels]
-        _emit(args, "\n".join(lines) if lines else "(no relations)")
-    return 0
+def _cmd_eval(args) -> str:
+    return _render(args, expr.evaluate(expr.parse(args.expression)), str, _value_to_json, _value_csv)
 
 
-def _cmd_rank(args) -> int:
+def _relations_text(rels) -> str:
+    return "\n".join(f"({rel.source[0]}, {rel.source[1]}): {rel}" for rel in rels) or "(no relations)"
+
+
+def _cmd_relations(args, extended: bool) -> str:
+    table = reg.extended_double_shuffle_relations if extended else reg.double_shuffle_relations
+    return _render(args, table(args.weight), _relations_text, reg.relations_to_json, reg.relations_to_csv)
+
+
+def _cmd_rank(args) -> str:
     rank, bound = reg.relation_rank(args.weight)
-    if args.format == "json":
-        _emit(args, json.dumps({"weight": args.weight, "rank": rank, "dimension_bound": bound}))
-    elif args.format == "csv":
-        _emit(args, f"weight,rank,dimension_bound\n{args.weight},{rank},{bound}\n")
-    else:
-        _emit(args, f"weight {args.weight}: relation rank {rank}, dimension bound {bound}")
-    return 0
+    row = {"weight": args.weight, "rank": rank, "dimension_bound": bound}
+    return _render(args, row, "weight {weight}: relation rank {rank}, dimension bound {dimension_bound}".format_map,
+                   json.dumps, "weight,rank,dimension_bound\n{weight},{rank},{dimension_bound}\n".format_map)
 
 
-def _cmd_regularize(args, shuffle_side: bool) -> int:
-    s = _parse_composition(args.composition)
+def _cmd_regularize(args, shuffle_side: bool) -> str:
+    s = _literal(args.composition, expr.COMPOSITION, "[1,2]")
     poly = reg.shuffle_regularize(s) if shuffle_side else reg.stuffle_regularize(s)
-    if args.format == "json":
-        _emit(args, reg.reg_poly_to_json(poly))
-    elif args.format == "csv":
-        _emit(args, reg.reg_poly_to_csv(poly))
-    else:
-        _emit(args, str(poly))
-    return 0
+    return _render(args, poly, str, reg.reg_poly_to_json, reg.reg_poly_to_csv)
 
 
-def _cmd_rho(args, inverse: bool) -> int:
+def _cmd_rho(args, inverse: bool) -> str:
     ctx = _context(args)
     rho = reg.build_rho(args.order, ctx)
-    table = rho.delta if inverse else rho.gamma
-    name = "delta" if inverse else "gamma"
-    if args.apply is not None:
-        texts = args.apply.split(",")
-        coeffs = [float(c) for c in texts]
-        for degree, (text, c) in enumerate(zip(texts, coeffs)):
-            if not math.isfinite(c):
-                raise DomainError(f"--apply coefficient of T^{degree} must be finite, got {text.strip()}")
-        from .core import TPoly
-
-        poly = TPoly({i: c for i, c in enumerate(coeffs)})
-        image = reg.beta_apply(poly, rho) if inverse else reg.rho_apply(poly, rho)
-        rendered = " + ".join(
-            f"{float(image.coeff(d, 0.0))!r}*T^{d}" for d in range(args.order + 1)
-        )
-        _emit(args, rendered)
-        return 0
-    lines = [f"{name}[{k}] = {num.format_value(float(v), float(ctx.tolerance))}" for k, v in enumerate(table)]
-    _emit(args, "\n".join(lines))
-    return 0
+    if args.apply is None:
+        name, table = ("delta", rho.delta) if inverse else ("gamma", rho.gamma)
+        return "\n".join(f"{name}[{k}] = {num.format_value(float(v), float(ctx.tolerance))}"
+                         for k, v in enumerate(table))
+    texts = args.apply.split(",")
+    coeffs = [float(c) for c in texts]
+    for degree, (text, c) in enumerate(zip(texts, coeffs)):
+        if not math.isfinite(c):
+            raise DomainError(f"--apply coefficient of T^{degree} must be finite, got {text.strip()}")
+    poly = TPoly(dict(enumerate(coeffs)))
+    image = reg.beta_apply(poly, rho) if inverse else reg.rho_apply(poly, rho)
+    return " + ".join(f"{float(image.coeff(d, 0.0))!r}*T^{d}" for d in range(args.order + 1))
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args) -> str:
     ctx = _context(args)
     if args.n >= 2:
-        value = num.zeta_pos(args.n, ctx)
         # Decimal, not float: 10.0 ** -digits underflows to 0 past 323 digits
-        _emit(args, num.format_value(value, min(Decimal(ctx.tolerance), Decimal(10) ** -ctx.digits)))
-    elif args.n <= 0:
-        exact = num.zeta_nonpos(-args.n)
-        _emit(args, f"{reg.fraction_str(exact)} (exact)")
-    else:
-        raise DomainError("zeta(1) diverges; use zsh/zst for regularized values")
-    return 0
+        return num.format_value(num.zeta_pos(args.n, ctx), min(Decimal(ctx.tolerance), Decimal(10) ** -ctx.digits))
+    if args.n <= 0:
+        return f"{reg.fraction_str(num.zeta_nonpos(-args.n))} (exact)"
+    raise DomainError("zeta(1) diverges; use zsh/zst for regularized values")
 
 
-def _cmd_li(args) -> int:
+def _cmd_li(args) -> str:
     ctx = _context(args)
-    s = _parse_composition(args.composition)
-    value = num.li_eval(s, args.z, ctx)
-    _emit(args, num.format_value(value, ctx.tolerance))
-    return 0
+    s = _literal(args.composition, expr.COMPOSITION, "[1,2]")
+    return num.format_value(num.li_eval(s, args.z, ctx), ctx.tolerance)
 
 
-def _cmd_zdir(args) -> int:
+def _cmd_zdir(args) -> str:
     ctx = _context(args)
-    b = _parse_bicomposition(args.bicomposition)
-    value = num.z_directional(b, args.eps, ctx)
-    _emit(args, num.format_value(value, ctx.tolerance))
-    return 0
+    b = _literal(args.bicomposition, expr.BICOMPOSITION, "[2,1 | 1,0]")
+    return num.format_value(num.z_directional(b, args.eps, ctx), ctx.tolerance)
 
 
 _SUITE_SIZES = ("max_weight", "max_degree", "cases", "seed")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, str | None]:
+    """The PASS/FAIL lines, and the failure note when a check failed."""
     # a suite sees only the sizes given on the command line and keeps its own defaults for the rest
     options = {name: getattr(args, name) for name in _SUITE_SIZES if getattr(args, name) is not None}
-    options["ctx"] = _context(args)
-    results = verification.run_suites(args.suites, **options)
-    lines = [r.line() for r in results]
-    _emit(args, "\n".join(lines))
-    failed = [r for r in results if not r.passed]
-    if failed:
-        print(f"{len(failed)} check(s) failed", file=sys.stderr)
-        return 1
-    return 0
+    results = verification.run_suites(args.suites, ctx=_context(args), **options)
+    failed = sum(not r.passed for r in results)
+    return "\n".join(r.line() for r in results), f"{failed} check(s) failed" if failed else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,24 +197,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an algebra expression")
     p.add_argument("expression")
-    _add_output_flags(p)
+    _add_format_flag(p)
     p.set_defaults(run=_cmd_eval)
 
     for name, extended in (("dsh", False), ("eds", True)):
         p = sub.add_parser(name, help=f"{'extended ' if extended else ''}double shuffle relation table")
         p.add_argument("--weight", type=int, required=True)
-        _add_output_flags(p)
+        _add_format_flag(p)
         p.set_defaults(run=lambda a, e=extended: _cmd_relations(a, e))
 
     p = sub.add_parser("rank", help="exact rank of the extended relation set")
     p.add_argument("--weight", type=int, required=True)
-    _add_output_flags(p)
+    _add_format_flag(p)
     p.set_defaults(run=_cmd_rank)
 
     for name, shuffle_side in (("zsh", True), ("zst", False)):
         p = sub.add_parser(name, help=f"{'shuffle' if shuffle_side else 'stuffle'}-regularized T-polynomial")
         p.add_argument("composition", help="composition literal, e.g. [1,2]")
-        _add_output_flags(p)
+        _add_format_flag(p)
         p.set_defaults(run=lambda a, s=shuffle_side: _cmd_regularize(a, s))
 
     for name, inverse in (("rho", False), ("beta", True)):
@@ -267,27 +223,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--apply", default=None, metavar="C0,C1,...",
                        help="apply the map to the T-polynomial with these coefficients")
         _add_numeric_flags(p)
-        p.add_argument("--out", default=None)
         p.set_defaults(run=lambda a, i=inverse: _cmd_rho(a, i))
 
     p = sub.add_parser("zeta", help="zeta value: n >= 2 numeric, n <= 0 exact rational")
     p.add_argument("n", type=int)
     _add_numeric_flags(p, tol=1e-15)
-    p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_zeta)
 
     p = sub.add_parser("li", help="multiple polylogarithm at |z| < 1")
     p.add_argument("composition")
     p.add_argument("z", type=float)
     _add_numeric_flags(p, tol=1e-10)
-    p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_li)
 
     p = sub.add_parser("zdir", help="directional regularized MZV at eps < 0")
     p.add_argument("bicomposition", help="e.g. \"[2,1 | 1,0]\"")
     p.add_argument("eps", type=float)
     _add_numeric_flags(p, tol=1e-8)
-    p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_zdir)
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -297,9 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--" + flag.replace("_", "-"), type=int, dest=flag,
                        help="passed to the suites that take it (default: each suite's own)")
     _add_numeric_flags(p, tol=1e-4)
-    p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_verify)
 
+    # declared last, so it stays the last flag in the usage and help of every command
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="FILE", help="write data to FILE instead of stdout")
     return parser
 
 
@@ -310,9 +264,15 @@ PARSER = build_parser()
 def main(argv: list[str] | None = None) -> int:
     args = PARSER.parse_args(argv)
     try:
-        code = args.run(args)
+        # a handler returns its text; verify also returns its failure note
+        text = args.run(args)
+        text, failure = (text, None) if isinstance(text, str) else text
+        _emit(args, text)
         sys.stdout.flush()
-        return code
+        if failure:
+            print(failure, file=sys.stderr)
+            return 1
+        return 0
     except BrokenPipeError:
         # the reader of stdout went away (`mzvkit ... | head`); as in the
         # "Note on SIGPIPE" of the signal docs, point stdout at devnull so

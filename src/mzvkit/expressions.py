@@ -128,19 +128,29 @@ def _signature(name: str, kinds: tuple[str, ...]) -> tuple[Callable, str]:
     return fn, _RESULT.get(name, kinds[-1])
 
 
-def node_kind(node: Node) -> str:
-    """Static kind of a parsed node; raises KindError on mismatches."""
+# The deepest node of an accepted tree sits MAX_DEPTH levels below the root.
+# node_kind, evaluate and to_text recurse at most two frames per level, the
+# parser three per call, well inside Python's default limit of 1000 frames.
+MAX_DEPTH = 200
+
+
+def node_kind(node: Node, depth: int = 0) -> str:
+    """Static kind of a node ``depth`` levels below the root; raises KindError
+    on mismatches and ExprSyntaxError on a node past MAX_DEPTH levels (a
+    '+' chain is as deep as it is long)."""
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", node.pos)
     if isinstance(node, Literal):
         return node.kind
     if isinstance(node, ScalarMul):
-        return node_kind(node.operand)
+        return node_kind(node.operand, depth + 1)
     if isinstance(node, BinOp):
-        left, right = node_kind(node.left), node_kind(node.right)
+        left, right = node_kind(node.left, depth + 1), node_kind(node.right, depth + 1)
         if left != right:
             raise KindError(f"cannot combine {left} and {right} with '{node.op}'")
         return left
     if isinstance(node, Call):
-        return _signature(node.name, tuple(node_kind(a) for a in node.args))[1]
+        return _signature(node.name, tuple(node_kind(a, depth + 1) for a in node.args))[1]
     raise KindError(f"unknown node {node!r}")
 
 
@@ -156,6 +166,7 @@ class _Tokens:
         self.items = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
         self.items.append((None, "", len(text)))
         self.i = 0
+        self.calls = 0  # calls open at the current token
 
     def peek(self) -> tuple:
         return self.items[self.i]
@@ -241,6 +252,8 @@ def _parse_term(toks: _Tokens) -> Node:
 
 def _parse_atom(toks: _Tokens) -> Node:
     kind, tok, pos = toks.peek()
+    if toks.calls > MAX_DEPTH:  # inside more than MAX_DEPTH calls the node is too deep
+        raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", pos)
     toks.i += 1
     if tok == "[":
         entries = toks.take_list(toks.take_int)
@@ -261,10 +274,12 @@ def _parse_atom(toks: _Tokens) -> Node:
             return Literal(WORD, words.Word.from_text(tok), pos)
         if tok in _CALL_NAMES:
             toks.expect("(")
+            toks.calls += 1
             args = [_parse_expr(toks)]
             while toks.take(",") or toks.take(";"):
                 args.append(_parse_expr(toks))
             toks.expect(")")
+            toks.calls -= 1
             return Call(tok, tuple(args), pos)
         raise ExprSyntaxError(f"unknown name {tok!r}", pos)
     raise ExprSyntaxError("expected a literal or function call", pos)

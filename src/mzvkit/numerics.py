@@ -201,7 +201,16 @@ def _sweep(letters: list, terms: int, scale: int) -> list[int]:
     return values[::-1]
 
 
-def _holder(entries: tuple[int, ...], bits: int, budget: float = math.inf) -> tuple[int, int]:
+def _holder_terms(entries: tuple[int, ...], bits: int, budget: float = math.inf) -> int:
+    """The N = bits + t terms ``_holder`` sums, 2^t > 4(n+1) for the n =
+    sum(entries) letters of the word; more than ``budget`` raise ``PrecisionError``."""
+    terms = bits + (4 * (sum(entries) + 1)).bit_length()
+    if terms > budget:
+        raise PrecisionError(f"zeta{entries} needs {terms} terms, over budget {budget}")
+    return terms
+
+
+def _holder(entries: tuple[int, ...], bits: int) -> tuple[int, int]:
     """(V, B) with |V 2^-B - zeta(entries)| < 2^-bits: the Hölder convolution at 1/2.
 
     Splitting the iterated integral of the word w = w_1...w_n of s by the
@@ -217,15 +226,12 @@ def _holder(entries: tuple[int, ...], bits: int, budget: float = math.inf) -> tu
     f, g <= 1 is then within d(g + 1) + d^2 2^-B <= 2d + 1 units, as
     d < 2^guard and guard <= bits, and the final shift floors once:
     (n+1)(4nN + 1) + 1 + (n+1) 2^(B-N+1) units, each part below 2^(guard-1).
-    More than ``budget`` terms raise ``PrecisionError``.
     """
     word = [letter for e in entries for letter in [X0] * (e - 1) + [0.5]]
     dual = [0.5 if letter == X0 else X0 for letter in reversed(word)]
     n = len(word)
-    terms = bits + (4 * (n + 1)).bit_length()
+    terms = _holder_terms(entries, bits)
     scale = bits + ((n + 1) * (4 * n * terms + 1) + 1).bit_length() + 1
-    if terms > budget:
-        raise PrecisionError(f"zeta{entries} needs {terms} terms, over budget {budget}")
     products = map(operator.mul, _sweep(word, terms, scale), reversed(_sweep(dual, terms, scale)))
     return sum(products) >> scale, scale
 
@@ -332,13 +338,16 @@ def zeta_pos(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpmath.mpf:
     """
     if n < 2:
         raise DomainError("zeta_pos needs n >= 2")
-    return _zeta_pos_cached(n, ctx.digits, ctx.budget, float(ctx.tolerance))
+    bits = max(math.ceil(-math.log2(ctx.tolerance)), math.ceil((ctx.digits + 2) * math.log2(10)) + 1)
+    _holder_terms((n,), bits, ctx.budget)
+    return _zeta_pos_cached(n, ctx.digits, bits)
 
 
-@lru_cache(maxsize=None)
-def _zeta_pos_cached(n: int, digits: int, budget: int, tolerance: float) -> mpmath.mpf:
-    bits = max(math.ceil(-math.log2(tolerance)), math.ceil((digits + 2) * math.log2(10)) + 1)
-    fixed, scale = _holder((n,), bits, budget)
+# keyed on the bits, not the tolerance: every tolerance above 2^-bits of the
+# digits gives one value; the budget is checked before the lookup
+@lru_cache(maxsize=1024)
+def _zeta_pos_cached(n: int, digits: int, bits: int) -> mpmath.mpf:
+    fixed, scale = _holder((n,), bits)
     mp = _mp(digits)
     return mp.ldexp(mp.mpf(fixed), -scale)
 

@@ -348,13 +348,17 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str], **options) -> list[CheckResult]:
-    results: list[CheckResult] = []
+def run_suites(names: list[str], ctx: PrecisionContext | None = None, **sizes) -> list[CheckResult]:
+    """Run the named suites (or 'all'); each takes ctx and the sizes it has a
+    parameter for, and a size that no chosen suite takes is an error."""
     chosen = list(SUITES) if "all" in names else names
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-        suite = SUITES[name]
-        params = inspect.signature(suite).parameters
-        results.extend(suite(**{k: v for k, v in options.items() if k in params}))
-    return results
+    params = {name: inspect.signature(SUITES[name]).parameters for name in chosen}
+    for size in sizes:
+        if not any(size in taken for taken in params.values()):
+            raise ValueError(f"--{size.replace('_', '-')} is taken by none of the chosen suites: {', '.join(chosen)}")
+    options = dict(sizes, ctx=ctx)
+    return [result for name in chosen
+            for result in SUITES[name](**{k: v for k, v in options.items() if k in params[name]})]

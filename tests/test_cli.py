@@ -195,6 +195,12 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("levels", [expr.MAX_DEPTH + 1, 1000])
+    def test_deep_nesting_is_2(self, capsys, levels):
+        code, out, err = run(capsys, "eval", "I(" * levels + "[1]" + ")" * levels)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == f"syntax error: nested deeper than {expr.MAX_DEPTH} levels at offset {2 * expr.MAX_DEPTH + 2}\n"
+
     @pytest.mark.parametrize("text, offset", [
         ("1/0", 2), ("[1 | 1/0]", 7), ("msh(1/0; [1], [1])", 6),
     ])
@@ -423,6 +429,20 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", *argv)
         assert code == 1 and out == ""
         assert f"{option} must be at least 1" in err and "PASS" not in err
+
+    @pytest.mark.parametrize("argv, flag, suites", [
+        (["ranks", "--max-weight", "9"], "--max-weight", "ranks"),
+        (["series", "euler", "corollary", "--max-weight", "6"], "--max-weight", "series, euler, corollary"),
+        (["ranks", "--seed", "3"], "--seed", "ranks"),
+    ])
+    def test_size_no_chosen_suite_takes_is_1(self, capsys, argv, flag, suites):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {flag} is taken by none of the chosen suites: {suites}\n"
+
+    def test_size_one_chosen_suite_takes_reaches_it(self, capsys):
+        code, out, _ = run(capsys, "verify", "regularization", "corollary", "--max-weight", "2")
+        assert code == 0 and "(weight <= 2)" in out and out.count("PASS") == 4
 
     def test_weight_zero_polylog_still_checks(self, capsys):
         code, out, _ = run(capsys, "verify", "polylog", "--max-weight", "0")

@@ -8,6 +8,7 @@ from mzvkit.compositions import BiComposition, Composition
 from mzvkit.core import DomainError, LinComb
 from mzvkit.expressions import (
     _CALLS,
+    MAX_DEPTH,
     BICOMPOSITION,
     COMPOSITION,
     SCALAR,
@@ -123,6 +124,36 @@ _SAMPLE = {
 
 # the calls that map one model of the free algebra into another
 _CHANGES_KIND = {"eta": COMPOSITION, "f": WORD, "phi": COMPOSITION}
+
+
+class TestNestingDepth:
+    def test_the_limit_parses_and_evaluates(self):
+        nested = "I(" * MAX_DEPTH + "[1]" + ")" * MAX_DEPTH
+        assert str(evaluate(parse(nested))) == f"[{MAX_DEPTH + 1}]"
+        chain = "+".join(["[1]"] * (MAX_DEPTH + 1))  # MAX_DEPTH '+' nodes deep
+        assert str(evaluate(parse(chain))) == f"{MAX_DEPTH + 1}*[1]"
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 1000])
+    def test_past_the_limit_is_a_syntax_error_at_the_deep_node(self, levels):
+        nested = "I(" * levels + "[1]" + ")" * levels
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels at offset {2 * MAX_DEPTH + 2}$"):
+            parse(nested)
+
+    @pytest.mark.parametrize("text", [
+        "+".join(["[1]"] * (MAX_DEPTH + 2)),
+        "+".join(["[1]"] * 5000),
+        "I(-" * (MAX_DEPTH // 2 + 1) + "[1]" + ")" * (MAX_DEPTH // 2 + 1),  # a negated call is two levels
+    ])
+    def test_deep_sums_and_negations_are_syntax_errors(self, text):
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse(text)
+
+    def test_a_deep_built_tree_does_not_overflow_evaluate(self):
+        node = Literal(COMPOSITION, C(1))
+        for _ in range(5000):
+            node = BinOp("+", node, Literal(COMPOSITION, C(1)))
+        with pytest.raises(ExprSyntaxError):
+            evaluate(node)
 
 
 class TestSignatureTable:

@@ -16,6 +16,7 @@ from mzvkit.compositions import (
 )
 from mzvkit.core import DomainError, TPoly
 from mzvkit.numerics import (
+    _zeta_pos_cached,
     DivergenceError,
     LaurentPoly,
     PrecisionContext,
@@ -92,6 +93,20 @@ class TestZetaPos:
 
     def test_budget_caps_the_series(self):
         with pytest.raises(PrecisionError):
+            zeta_pos(3, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+
+    def test_cache_keyed_on_bits_not_tolerance(self):
+        # at 20 digits every tolerance above 2^-75 (about 2.6e-23) runs at 75 bits
+        _zeta_pos_cached.cache_clear()
+        values = {zeta_pos(3, PrecisionContext(digits=20, budget=200_000, tolerance=10 ** (-3 - 17 * i / 499)))
+                  for i in range(500)}
+        assert [(v.man, v.exp) for v in values] == [(372018592480162675590000819, -88)]
+        info = _zeta_pos_cached.cache_info()
+        assert info.currsize == 1 and info.maxsize is not None
+
+    def test_budget_checked_past_a_cached_value(self):
+        zeta_pos(3, PrecisionContext(digits=400, budget=200_000, tolerance=1e-3))
+        with pytest.raises(PrecisionError, match="over budget 1000"):
             zeta_pos(3, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
 
 
