@@ -43,10 +43,14 @@ def _context(args) -> PrecisionContext:
     return PrecisionContext(digits=args.digits, budget=args.budget, tolerance=args.tol)
 
 
+_NUMERIC_FLAGS = (("digits", int, "working precision (decimal digits)"),
+                  ("budget", int, "maximum summation index"),
+                  ("tol", float, "target tolerance"))
+
+
 def _add_numeric_flags(parser, tol: float = 1e-3):
-    parser.add_argument("--digits", type=int, default=20, help="working precision (decimal digits)")
-    parser.add_argument("--budget", type=int, default=200_000, help="maximum summation index")
-    parser.add_argument("--tol", type=float, default=tol, help="target tolerance")
+    for (name, kind, text), default in zip(_NUMERIC_FLAGS, (20, 200_000, tol)):
+        parser.add_argument("--" + name, type=kind, default=default, help=text)
 
 
 def _add_format_flag(parser):
@@ -181,9 +185,10 @@ _SUITE_SIZES = ("max_weight", "max_degree", "cases", "seed")
 
 def _cmd_verify(args) -> tuple[str, str | None]:
     """The PASS/FAIL lines, and the failure note when a check failed."""
-    # a suite sees only the sizes given on the command line and keeps its own defaults for the rest
-    options = {name: getattr(args, name) for name in _SUITE_SIZES if getattr(args, name) is not None}
-    results = verification.run_suites(args.suites, ctx=_context(args), **options)
+    # a suite sees only the sizes given on the command line and keeps its own defaults for the rest;
+    # the numeric flags not given take the verify defaults
+    options = {name: getattr(args, name) for name in _SUITE_SIZES + tuple(verification.PRECISION)}
+    results = verification.run_suites(args.suites, **options)
     failed = sum(not r.passed for r in results)
     return "\n".join(r.line() for r in results), f"{failed} check(s) failed" if failed else None
 
@@ -248,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in _SUITE_SIZES:
         p.add_argument("--" + flag.replace("_", "-"), type=int, dest=flag,
                        help="passed to the suites that take it (default: each suite's own)")
-    _add_numeric_flags(p, tol=1e-4)
+    for name, kind, text in _NUMERIC_FLAGS:
+        p.add_argument("--" + name, type=kind,
+                       help=f"{text} of the numeric suites (default: {verification.PRECISION[name]})")
     p.set_defaults(run=_cmd_verify)
 
     # declared last, so it stays the last flag in the usage and help of every command

@@ -72,7 +72,9 @@ def format_value(value, error: float) -> str:
     return f"{mpmath.nstr(mpmath.mpf(value), 11)} ± {error:.0e}"
 
 
-@lru_cache(maxsize=None)
+# bounded: an evicted context is rebuilt at the same precision, and mpf
+# arithmetic rounds at the precision, so no value depends on which one it is
+@lru_cache(maxsize=64)
 def _mp(digits: int) -> mpmath.ctx_mp.MPContext:
     ctx = mpmath.mp.clone()
     ctx.dps = digits + 10
@@ -338,9 +340,15 @@ def zeta_pos(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpmath.mpf:
     """
     if n < 2:
         raise DomainError("zeta_pos needs n >= 2")
+    return _zeta_pos_cached(n, ctx.digits, _zeta_bits(n, ctx))
+
+
+def _zeta_bits(n: int, ctx: PrecisionContext) -> int:
+    """The bits zeta(n) runs to at ctx, 2^-bits <= min(ctx.tolerance, 10^-(digits+2));
+    past ``ctx.budget`` terms it raises ``PrecisionError``."""
     bits = max(math.ceil(-math.log2(ctx.tolerance)), math.ceil((ctx.digits + 2) * math.log2(10)) + 1)
     _holder_terms((n,), bits, ctx.budget)
-    return _zeta_pos_cached(n, ctx.digits, bits)
+    return bits
 
 
 # keyed on the bits, not the tolerance: every tolerance above 2^-bits of the

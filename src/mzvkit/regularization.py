@@ -32,7 +32,7 @@ from .compositions import (
     stuffle,
 )
 from .core import DomainError, LinComb, Sparse, TPoly, _add_into, matrix_rank
-from .numerics import DEFAULT_CTX, PrecisionContext, zeta_pos
+from .numerics import DEFAULT_CTX, PrecisionContext, _zeta_bits, _zeta_pos_cached, zeta_pos
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,12 +330,24 @@ class RhoMap:
 
 
 def build_rho(order: int, ctx: PrecisionContext = DEFAULT_CTX) -> RhoMap:
+    """The tables to T^order from zeta(2), ..., zeta(order) at ctx, one per precision.
+
+    The values are those of ``zeta_pos``, so every tolerance that gives
+    ``zeta_pos`` its bits gives one table.  The checks come before the
+    lookup: a negative order raises ``DomainError``, and a budget below the
+    terms of zeta(max(order, 2)), the largest value read, ``PrecisionError``.
+    """
     if order < 0:
         raise DomainError("order must be >= 0")
-    zero = zeta_pos(2, ctx) * 0
+    return _rho_cached(order, ctx.digits, _zeta_bits(max(order, 2), ctx))
+
+
+@lru_cache(maxsize=256)
+def _rho_cached(order: int, digits: int, bits: int) -> RhoMap:
+    zero = _zeta_pos_cached(2, digits, bits) * 0
     series = [zero] * (order + 1)
     for n in range(2, order + 1):
-        series[n] = (-1) ** n * zeta_pos(n, ctx) / n
+        series[n] = (-1) ** n * _zeta_pos_cached(n, digits, bits) / n
     gamma = [zero + 1]
     for m in range(1, order + 1):
         acc = zero

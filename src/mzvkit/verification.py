@@ -348,17 +348,27 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str], ctx: PrecisionContext | None = None, **sizes) -> list[CheckResult]:
-    """Run the named suites (or 'all'); each takes ctx and the sizes it has a
-    parameter for, and a size that no chosen suite takes is an error."""
+# the numeric flags of a run and their values when not given; the suites
+# that take ``ctx`` get one context built from them
+PRECISION = {"digits": 20, "budget": 200_000, "tol": 1e-4}
+
+
+def run_suites(names: list[str], **options) -> list[CheckResult]:
+    """Run the named suites (or 'all').  ``options`` are sizes and the flags
+    of ``PRECISION``, None for one not given.  Each suite takes the sizes it
+    has a parameter for, and ``ctx`` if it has one; an option given that no
+    chosen suite takes is an error."""
     chosen = list(SUITES) if "all" in names else names
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     params = {name: inspect.signature(SUITES[name]).parameters for name in chosen}
-    for size in sizes:
-        if not any(size in taken for taken in params.values()):
-            raise ValueError(f"--{size.replace('_', '-')} is taken by none of the chosen suites: {', '.join(chosen)}")
-    options = dict(sizes, ctx=ctx)
+    given = {option: value for option, value in options.items() if value is not None}
+    for option in given:
+        taker = "ctx" if option in PRECISION else option
+        if not any(taker in taken for taken in params.values()):
+            raise ValueError(f"--{option.replace('_', '-')} is taken by none of the chosen suites: {', '.join(chosen)}")
+    flags = {flag: given.pop(flag, default) for flag, default in PRECISION.items()}
+    given["ctx"] = PrecisionContext(digits=flags["digits"], budget=flags["budget"], tolerance=flags["tol"])
     return [result for name in chosen
-            for result in SUITES[name](**{k: v for k, v in options.items() if k in params[name]})]
+            for result in SUITES[name](**{k: v for k, v in given.items() if k in params[name]})]

@@ -17,6 +17,7 @@ from mzvkit import expressions as expr
 from mzvkit import verification
 from mzvkit.cli import main
 from mzvkit.core import LinComb
+from mzvkit.numerics import PrecisionContext
 from mzvkit.regularization import fraction_str
 from mzvkit.words import Word
 
@@ -434,11 +435,33 @@ class TestVerifyCommand:
         (["ranks", "--max-weight", "9"], "--max-weight", "ranks"),
         (["series", "euler", "corollary", "--max-weight", "6"], "--max-weight", "series, euler, corollary"),
         (["ranks", "--seed", "3"], "--seed", "ranks"),
+        (["ranks", "--tol", "1e-30"], "--tol", "ranks"),
+        (["euler", "series", "--digits", "30"], "--digits", "euler, series"),
+        (["structure", "--budget", "5000", "--cases", "5"], "--budget", "structure"),
     ])
     def test_size_no_chosen_suite_takes_is_1(self, capsys, argv, flag, suites):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 1 and out == ""
         assert err == f"error: {flag} is taken by none of the chosen suites: {suites}\n"
+
+    @pytest.mark.parametrize("argv, want", [
+        ([], PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)),
+        (["--tol", "1e-10"], PrecisionContext(digits=20, budget=200_000, tolerance=1e-10)),
+        (["--digits", "30", "--budget", "50000"], PrecisionContext(digits=30, budget=50_000, tolerance=1e-4)),
+    ])
+    def test_numeric_flags_over_the_verify_defaults(self, capsys, monkeypatch, argv, want):
+        # a suite that takes ctx gets the given flags over 20 digits, budget 200000, tol 1e-4
+        seen = []
+        corollary = verification.SUITES["corollary"]
+
+        @functools.wraps(corollary)
+        def spy(**options):
+            seen.append(options["ctx"])
+            return corollary(**options)
+
+        monkeypatch.setitem(verification.SUITES, "corollary", spy)
+        code, out, _ = run(capsys, "verify", "ranks", "corollary", *argv)
+        assert code == 0 and seen == [want] and out.count("PASS") == 5
 
     def test_size_one_chosen_suite_takes_reaches_it(self, capsys):
         code, out, _ = run(capsys, "verify", "regularization", "corollary", "--max-weight", "2")

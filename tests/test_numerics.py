@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import mzvkit
+from mzvkit import numerics, regularization
 from mzvkit.compositions import (
     BiComposition,
     Composition,
@@ -35,6 +39,7 @@ from mzvkit.numerics import (
     zeta_nonpos,
     zeta_pos,
 )
+from mzvkit.regularization import build_rho
 
 CTX = PrecisionContext(digits=20, budget=200_000, tolerance=1e-3)
 TIGHT = PrecisionContext(digits=20, budget=200_000, tolerance=1e-10)
@@ -108,6 +113,20 @@ class TestZetaPos:
         zeta_pos(3, PrecisionContext(digits=400, budget=200_000, tolerance=1e-3))
         with pytest.raises(PrecisionError, match="over budget 1000"):
             zeta_pos(3, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+
+    def test_evicted_mp_context_changes_no_value(self):
+        # an evicted context is rebuilt at the same precision; a table built
+        # from values of the old context, or wholly anew, is the same bits
+        ctx = PrecisionContext(digits=50, budget=200_000, tolerance=1e-3)
+        first = [zeta_pos(n, ctx) for n in range(2, 9)], build_rho(8, ctx)
+        for caches in ((numerics._mp, regularization._rho_cached),
+                       (numerics._mp, regularization._rho_cached, _zeta_pos_cached)):
+            for cache in caches:
+                cache.cache_clear()
+            again = [zeta_pos(n, ctx) for n in range(2, 9)], build_rho(8, ctx)
+            assert [v._mpf_ for v in again[0]] == [v._mpf_ for v in first[0]]
+            assert ([v._mpf_ for v in again[1].gamma + again[1].delta]
+                    == [v._mpf_ for v in first[1].gamma + first[1].delta])
 
 
 class TestZetaNonpos:
@@ -495,3 +514,19 @@ class TestZetaExprEvaluation:
 def test_format_value():
     text = format_value(1.2020569031595942, 3e-11)
     assert text == "1.2020569032 ± 3e-11"
+
+
+def test_every_package_cache_is_bounded():
+    # _bernoulli_minus is the one exception: each value reads every lower
+    # one, so a bound would evict entries the recursion asks for again
+    caches = {}
+    for info in pkgutil.iter_modules(mzvkit.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"mzvkit.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_parameters", None)):
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert caches.pop("numerics._bernoulli_minus") is None
+    assert {"numerics._mp", "numerics._zeta_pos_cached", "regularization._rho_cached"} <= caches.keys()
+    assert {name: size for name, size in caches.items() if size is None} == {}

@@ -1,9 +1,11 @@
 import copy
 import hashlib
+import importlib.util
 import json
 import math
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from mzvkit.compositions import (
     stuffle,
 )
 from mzvkit.core import DomainError, LinComb, TPoly, bilinear, matrix_rank
-from mzvkit.numerics import PrecisionContext, eval_reg_poly, zeta_pos
+from mzvkit.numerics import PrecisionContext, PrecisionError, eval_reg_poly, zeta_pos
 from mzvkit.regularization import (
     MZVSymbol,
     Relation,
@@ -464,6 +466,79 @@ class TestRhoMap:
         rho = build_rho(2, CTX)
         with pytest.raises(DomainError):
             rho_apply(TPoly({3: 1.0}), rho)
+
+
+def reference_rho(order: int, ctx: PrecisionContext) -> tuple:
+    """gamma and delta by the recurrence of ``build_rho``, with no table cache."""
+    zero = zeta_pos(2, ctx) * 0
+    series = [zero] * (order + 1)
+    for n in range(2, order + 1):
+        series[n] = (-1) ** n * zeta_pos(n, ctx) / n
+    gamma, delta = [zero + 1], [zero + 1]
+    for m in range(1, order + 1):
+        acc = zero
+        for j in range(1, m + 1):
+            acc += j * series[j] * gamma[m - j]
+        gamma.append(acc / m)
+    for m in range(1, order + 1):
+        acc = zero
+        for j in range(1, m + 1):
+            acc -= gamma[j] * delta[m - j]
+        delta.append(acc)
+    return tuple(gamma), tuple(delta)
+
+
+def bits_of(values) -> list:
+    return [v._mpf_ for v in values]
+
+
+class TestRhoCache:
+    @pytest.mark.parametrize("digits", [20, 50])
+    @pytest.mark.parametrize("order", range(9))
+    def test_tables_equal_the_uncached_recurrence_bit_for_bit(self, order, digits):
+        ctx = PrecisionContext(digits=digits, budget=200_000, tolerance=1e-4)
+        reg._rho_cached.cache_clear()
+        gamma, delta = reference_rho(order, ctx)
+        for rho in (build_rho(order, ctx), build_rho(order, ctx)):  # built, then looked up
+            assert bits_of(rho.gamma) == bits_of(gamma) and bits_of(rho.delta) == bits_of(delta)
+
+    def test_one_entry_per_order_across_tolerances(self):
+        # at 20 digits both tolerances run at the 75 bits of the digits
+        reg._rho_cached.cache_clear()
+        for order in range(9):
+            loose, tight = (build_rho(order, PrecisionContext(digits=20, budget=200_000, tolerance=tol))
+                            for tol in (1e-3, 1e-4))
+            assert loose is tight
+        info = reg._rho_cached.cache_info()
+        assert info.currsize == 9 and info.misses == 9 and info.maxsize is not None
+
+    def test_budget_checked_past_a_cached_table(self):
+        build_rho(6, PrecisionContext(digits=400, budget=200_000, tolerance=1e-3))
+        with pytest.raises(PrecisionError, match=r"zeta\(6,\) needs \d+ terms, over budget 1000"):
+            build_rho(6, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+
+    def test_low_orders_check_the_budget_of_zeta_2(self):
+        # orders 0 and 1 read zeta(2) for the zero of the tables
+        for order in (0, 1):
+            with pytest.raises(PrecisionError, match=r"zeta\(2,\)"):
+                build_rho(order, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+
+    def test_negative_order(self):
+        reg._rho_cached.cache_clear()
+        with pytest.raises(DomainError, match="order must be >= 0"):
+            build_rho(-1, CTX)
+        assert reg._rho_cached.cache_info().misses == 0
+
+    def test_emptied_with_the_package_caches(self):
+        # the benchmark empties every cache it finds at module level before a pass
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        build_rho(5, CTX)
+        assert vars(reg)["_rho_cached"].cache_info().currsize > 0
+        spans.clear_package_caches()
+        assert reg._rho_cached.cache_info().currsize == 0
 
 
 class TestCorollary:
