@@ -185,9 +185,9 @@ _SUITE_SIZES = ("max_weight", "max_degree", "cases", "seed")
 
 def _cmd_verify(args) -> tuple[str, str | None]:
     """The PASS/FAIL lines, and the failure note when a check failed."""
-    # a suite sees only the sizes given on the command line and keeps its own defaults for the rest;
-    # the numeric flags not given take the verify defaults
-    options = {name: getattr(args, name) for name in _SUITE_SIZES + tuple(verification.PRECISION)}
+    # a suite sees only the sizes and numeric flags given on the command line
+    # and keeps its own defaults for the rest
+    options = {name: getattr(args, name) for name in _SUITE_SIZES + tuple(verification.CONTEXT_FLAGS)}
     results = verification.run_suites(args.suites, **options)
     failed = sum(not r.passed for r in results)
     return "\n".join(r.line() for r in results), f"{failed} check(s) failed" if failed else None
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="passed to the suites that take it (default: each suite's own)")
     for name, kind, text in _NUMERIC_FLAGS:
         p.add_argument("--" + name, type=kind,
-                       help=f"{text} of the numeric suites (default: {verification.PRECISION[name]})")
+                       help=f"{text} of the numeric suites (default: each numeric suite's own)")
     p.set_defaults(run=_cmd_verify)
 
     # declared last, so it stays the last flag in the usage and help of every command

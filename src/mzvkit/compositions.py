@@ -237,15 +237,17 @@ def shuffle_lin(a: LinComb[Composition], b: LinComb[Composition]) -> LinComb[Com
     return bilinear(shuffle, a, b)
 
 
+# checks its key itself, so a repeat is one lookup; lru_cache stores no
+# exception, so an invalid key raises on every call
 @lru_cache(maxsize=8192)
 def _stuffle_entries(s: tuple[int, ...], t: tuple[int, ...]) -> LinComb[Composition]:
+    if min(s) < 1 or min(t) < 1:
+        raise DomainError(f"stuffle is defined on positive compositions: {Composition(s)}, {Composition(t)}")
     return mixable_shuffle(s, t, weight=1, merge=add).map_basis(_composition)
 
 
 def stuffle(s: Composition, t: Composition) -> LinComb[Composition]:
     """Quasi-shuffle product on positive compositions (merged entries add)."""
-    if not (s.is_positive and t.is_positive):
-        raise DomainError(f"stuffle is defined on positive compositions: {s}, {t}")
     return _stuffle_entries(s.entries, t.entries)
 
 

@@ -75,7 +75,7 @@ class Call(Node):
 
 @dataclass(frozen=True)
 class ScalarMul(Node):
-    scalar: Fraction
+    scalar: int | Fraction
     operand: Node
     pos: int = field(default=0, compare=False)
 
@@ -189,7 +189,9 @@ class _Tokens:
         self.i += 1
         return sign * int(tok)
 
-    def take_rational(self) -> Fraction:
+    def take_rational(self) -> int | Fraction:
+        """An integer, or the ``Fraction`` of ``n/d``: coefficients stay ``int``
+        until a non-integer scalar enters."""
         num = self.take_int()
         if self.take("/"):
             pos = self.peek()[2]
@@ -197,7 +199,7 @@ class _Tokens:
             if den == 0:
                 raise ExprSyntaxError("zero denominator", pos)
             return Fraction(num, den)
-        return Fraction(num)
+        return num
 
     def take_list(self, read: Callable) -> list:
         """``read()`` once, then again after each ','."""
@@ -235,7 +237,7 @@ def _negate(node: Node, pos: int) -> Node:
         return Literal(SCALAR, -node.payload, pos)
     if isinstance(node, ScalarMul):
         return ScalarMul(-node.scalar, node.operand, pos)
-    return ScalarMul(Fraction(-1), node, pos)
+    return ScalarMul(-1, node, pos)
 
 
 # Both dispatch tests read the first character with str.isdigit/isalpha, so
@@ -307,7 +309,7 @@ class Value:
 
     kind: str
     combo: LinComb | None = None
-    scalar: Fraction | None = None
+    scalar: int | Fraction | None = None
 
     def __str__(self) -> str:
         if self.kind == SCALAR:

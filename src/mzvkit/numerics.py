@@ -6,6 +6,10 @@ so its error is a count of units.  ``zeta_pos`` and ``mzv_eval`` split the
 word at 1/2 (``_holder``), ``li_eval`` and damped ``z_directional`` sum the
 direct series (``_direct_series``); undamped levels above the first damped
 one enter that series as one vector letter, the tails of their MZV.
+Each public evaluator answers a repeat with one ``lru_cache`` lookup: the
+checks that read only the key run inside the cached function, so an invalid
+key raises on every call (lru_cache stores no exception), and the tests of
+the caller's tolerance and budget run around it.
 
 Exact material (Bernoulli numbers, the Laurent expansion of e^eps/(1-e^eps),
 the pole projector) is kept in Fraction arithmetic so identity checks can
@@ -20,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath
-
-from .compositions import BiComposition, Composition, raise_first
+from .compositions import BiComposition, Composition, _trusted_composition, raise_first
 from .core import DomainError, Sparse, TPoly, power_text
+
+if TYPE_CHECKING:
+    import mpmath
 
 
 class PrecisionError(ArithmeticError):
@@ -69,6 +74,8 @@ class MzvResult(NamedTuple):
 
 def format_value(value, error: float) -> str:
     """Decimal string with the reported error bound, e.g. ``1.2020569032 ± 3e-11``."""
+    import mpmath  # imported on first use: ``import mzvkit.cli`` stays without it
+
     return f"{mpmath.nstr(mpmath.mpf(value), 11)} ± {error:.0e}"
 
 
@@ -76,6 +83,8 @@ def format_value(value, error: float) -> str:
 # arithmetic rounds at the precision, so no value depends on which one it is
 @lru_cache(maxsize=64)
 def _mp(digits: int) -> mpmath.ctx_mp.MPContext:
+    import mpmath
+
     ctx = mpmath.mp.clone()
     ctx.dps = digits + 10
     return ctx
@@ -368,16 +377,16 @@ def li_eval(s: Composition, z: float, ctx: PrecisionContext = DEFAULT_CTX) -> fl
     past float64, and a tolerance below the float64 rounding of the value
     (2^-53 of it) raises ``PrecisionError``.
     """
-    if not abs(z) < 1:
-        raise DomainError(f"polylogarithm needs |z| < 1, got {z}")
-    if any(e < 0 for e in s.entries):
-        raise DomainError(f"polylogarithm entries must be >= 0: {s}")
-    return _li_cached(s.entries, float(z), ctx)
+    return _li_cached(s.entries, z, ctx)
 
 
 @lru_cache(maxsize=8192)
 def _li_cached(entries: tuple[int, ...], z: float, ctx: PrecisionContext) -> float:
-    return _direct_series((), entries, [z] * len(entries), 0.0, ctx)
+    if not abs(z) < 1:
+        raise DomainError(f"polylogarithm needs |z| < 1, got {z}")
+    if min(entries) < 0:  # only a composition built past its own checks has one
+        raise DomainError(f"polylogarithm entries must be >= 0: {_trusted_composition(entries)}")
+    return _direct_series((), entries, [float(z)] * len(entries), 0.0, ctx)
 
 
 def mzv_eval(s: Composition, ctx: PrecisionContext = DEFAULT_CTX) -> MzvResult:
@@ -386,29 +395,30 @@ def mzv_eval(s: Composition, ctx: PrecisionContext = DEFAULT_CTX) -> MzvResult:
     ``_mzv_cached`` depends on the index alone: ``budget`` does not limit it
     and ``digits`` is not honoured past float64.  The error is 2^-56 plus
     2^-50 of the value, below 1.5e-15; above ``ctx.tolerance`` the call
-    raises ``PrecisionError``.
+    raises ``PrecisionError``, on a cached value too.
     """
-    if not s.is_convergent:
-        raise DomainError(f"MZV evaluation needs a convergent composition: {s}")
-    value, error = _mzv_cached(s.entries)
-    if error > ctx.tolerance:
+    result = _mzv_cached(s.entries)
+    if result.error > ctx.tolerance:
         raise PrecisionError(
             f"zeta{s} not certifiable at tolerance {ctx.tolerance} in float64 "
-            f"(bound {error:.3g})"
+            f"(bound {result.error:.3g})"
         )
-    return MzvResult(value, error)
+    return result
 
 
 @lru_cache(maxsize=4096)
-def _mzv_cached(entries: tuple[int, ...]) -> tuple[float, float]:
+def _mzv_cached(entries: tuple[int, ...]) -> MzvResult:
     """(zeta(entries), error): ``_holder`` to 2^-56, rounded to float64.
 
     Rounding costs at most 2^-53 of the value; the error allows 2^-50 of it,
     which also covers its own float evaluation and sums of a few values.
     """
+    s = Composition(entries)
+    if not s.is_convergent:
+        raise DomainError(f"MZV evaluation needs a convergent composition: {s}")
     fixed, scale = _holder(entries, 56)
     value = fixed / (1 << scale)
-    return value, 2.0**-56 + 2.0**-50 * value
+    return MzvResult(value, 2.0**-56 + 2.0**-50 * value)
 
 
 def z_directional(b: BiComposition, eps: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -424,6 +434,11 @@ def z_directional(b: BiComposition, eps: float, ctx: PrecisionContext = DEFAULT_
     errs within an ulp: a drift of at most 2^-50 (1 + |eps (r_k + ... + r_i)|)
     in ln P_i.  An infinite eps is a domain error, as nan is.
     """
+    return _zdir_cached(b, eps, ctx)
+
+
+@lru_cache(maxsize=8192)
+def _zdir_cached(b: BiComposition, eps: float, ctx: PrecisionContext) -> float:
     if not eps < 0:
         raise DomainError(f"directional regularization needs eps < 0, got {eps}")
     if not math.isfinite(eps):

@@ -113,12 +113,12 @@ def shuffle_regularize(s: Composition) -> TPoly:
     contains the input with coefficient equal to its leading-ones count and
     otherwise only terms with strictly fewer leading ones.
     """
-    return _regularize(s, _SHUFFLE)
+    return _regularize_cached(s.entries, _SHUFFLE)
 
 
 def stuffle_regularize(s: Composition) -> TPoly:
     """Stuffle-regularized value; same contract with the quasi-shuffle product."""
-    return _regularize(s, _STUFFLE)
+    return _regularize_cached(s.entries, _STUFFLE)
 
 
 _SHUFFLE = "shuffle"
@@ -126,15 +126,12 @@ _STUFFLE = "stuffle"
 _PRODUCTS = {_SHUFFLE: shuffle, _STUFFLE: stuffle}
 
 
-def _regularize(s: Composition, kind: str) -> TPoly:
-    if not s.is_positive:
-        raise DomainError(f"regularization is defined on positive compositions: {s}")
-    return _regularize_cached(s.entries, kind)
-
-
+# checks its key itself, as _stuffle_entries does: a repeat is one lookup
 @lru_cache(maxsize=4096)
 def _regularize_cached(entries: tuple[int, ...], kind: str) -> TPoly:
     s = Composition(entries)
+    if not s.is_positive:
+        raise DomainError(f"regularization is defined on positive compositions: {s}")
     if s.is_convergent:
         return TPoly.constant(ZetaExpr.symbol(s))
     if entries == (1,):

@@ -18,6 +18,7 @@ A suite asked for an empty range raises :class:`DomainError`.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import random
@@ -260,12 +261,11 @@ def isomorphism_checks(max_degree: int = 6, injective_degree: int = 8,
     ] + _random_laws(suite, ISOMORPHISM_LAWS, cases, seed)
 
 
-def polylog_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
-                   tolerance: float = 1e-8) -> list[CheckResult]:
+def polylog_checks(ctx: PrecisionContext = PrecisionContext(digits=20, budget=100_000, tolerance=1e-10),
+                   max_weight: int = 4, tolerance: float = 1e-8) -> list[CheckResult]:
     """Shuffle homomorphism of polylogarithms and the derivative identity."""
     _at_least(0, max_weight=max_weight)
     suite = "polylog"
-    ctx = ctx or PrecisionContext(digits=20, budget=100_000, tolerance=1e-10)
     z = math.exp(-0.7)
     pool = comp.nonnegative_compositions(max_weight, 3)
     pairs = [(s, t) for s, t in combinations_with_replacement(pool, 2) if s.weight + t.weight <= max_weight]
@@ -293,12 +293,12 @@ def series_checks(order: int = 12) -> list[CheckResult]:
     return out
 
 
-def regularization_checks(ctx: PrecisionContext | None = None, max_weight: int = 4,
-                          exact_tol: float = 1e-10, mzv_tol: float = 1e-3) -> list[CheckResult]:
+def regularization_checks(ctx: PrecisionContext = PrecisionContext(digits=20, budget=200_000, tolerance=1e-4),
+                          max_weight: int = 4, exact_tol: float = 1e-10,
+                          mzv_tol: float = 1e-3) -> list[CheckResult]:
     """The regularization-exchange diagram and the inverse-map identity."""
     _at_least(1, max_weight=max_weight)
     suite = "regularization"
-    ctx = ctx or PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)
     rho = reg.build_rho(max(max_weight + 1, 5), ctx)
     z2 = float(num.zeta_pos(2, ctx))
     image = reg.rho_apply(TPoly({2: 0.5, 0: -z2 / 2}), rho)
@@ -318,9 +318,9 @@ def regularization_checks(ctx: PrecisionContext | None = None, max_weight: int =
     ]
 
 
-def corollary_checks(order: int = 4, ctx: PrecisionContext | None = None,
+def corollary_checks(order: int = 4,
+                     ctx: PrecisionContext = PrecisionContext(digits=20, budget=200_000, tolerance=1e-4),
                      tolerance: float = 1e-3) -> list[CheckResult]:
-    ctx = ctx or PrecisionContext(digits=20, budget=200_000, tolerance=1e-4)
     return [_within("corollary", f"exponential identity for repeated ones to order {order}",
                     [reg.corollary_check(order, ctx)], tolerance, "gap")]
 
@@ -348,15 +348,15 @@ SUITES = {
 }
 
 
-# the numeric flags of a run and their values when not given; the suites
-# that take ``ctx`` get one context built from them
-PRECISION = {"digits": 20, "budget": 200_000, "tol": 1e-4}
+# the numeric flags of a run, by the PrecisionContext field each one sets
+CONTEXT_FLAGS = {"digits": "digits", "budget": "budget", "tol": "tolerance"}
 
 
 def run_suites(names: list[str], **options) -> list[CheckResult]:
     """Run the named suites (or 'all').  ``options`` are sizes and the flags
-    of ``PRECISION``, None for one not given.  Each suite takes the sizes it
-    has a parameter for, and ``ctx`` if it has one; an option given that no
+    of ``CONTEXT_FLAGS``, None for one not given.  Each suite takes the sizes
+    it has a parameter for; a suite with a ``ctx`` parameter gets its own
+    default context with the given flags replaced.  An option given that no
     chosen suite takes is an error."""
     chosen = list(SUITES) if "all" in names else names
     for name in chosen:
@@ -365,10 +365,14 @@ def run_suites(names: list[str], **options) -> list[CheckResult]:
     params = {name: inspect.signature(SUITES[name]).parameters for name in chosen}
     given = {option: value for option, value in options.items() if value is not None}
     for option in given:
-        taker = "ctx" if option in PRECISION else option
+        taker = "ctx" if option in CONTEXT_FLAGS else option
         if not any(taker in taken for taken in params.values()):
             raise ValueError(f"--{option.replace('_', '-')} is taken by none of the chosen suites: {', '.join(chosen)}")
-    flags = {flag: given.pop(flag, default) for flag, default in PRECISION.items()}
-    given["ctx"] = PrecisionContext(digits=flags["digits"], budget=flags["budget"], tolerance=flags["tol"])
-    return [result for name in chosen
-            for result in SUITES[name](**{k: v for k, v in given.items() if k in params[name]})]
+    fields = {CONTEXT_FLAGS[flag]: given.pop(flag) for flag in list(given) if flag in CONTEXT_FLAGS}
+    results = []
+    for name in chosen:
+        taken = {k: v for k, v in given.items() if k in params[name]}
+        if "ctx" in params[name]:
+            taken["ctx"] = dataclasses.replace(params[name]["ctx"].default, **fields)
+        results += SUITES[name](**taken)
+    return results

@@ -450,7 +450,7 @@ class TestVerifyCommand:
         (["--digits", "30", "--budget", "50000"], PrecisionContext(digits=30, budget=50_000, tolerance=1e-4)),
     ])
     def test_numeric_flags_over_the_verify_defaults(self, capsys, monkeypatch, argv, want):
-        # a suite that takes ctx gets the given flags over 20 digits, budget 200000, tol 1e-4
+        # corollary gets the given flags over its own default: 20 digits, budget 200000, tol 1e-4
         seen = []
         corollary = verification.SUITES["corollary"]
 
@@ -462,6 +462,26 @@ class TestVerifyCommand:
         monkeypatch.setitem(verification.SUITES, "corollary", spy)
         code, out, _ = run(capsys, "verify", "ranks", "corollary", *argv)
         assert code == 0 and seen == [want] and out.count("PASS") == 5
+
+    def test_each_numeric_suite_keeps_its_own_context(self, monkeypatch):
+        seen = {}
+
+        def spy(name):
+            suite = verification.SUITES[name]
+
+            @functools.wraps(suite)
+            def called(**options):
+                seen[name] = options["ctx"]
+                return suite(**options)
+            return called
+
+        for name in ("polylog", "regularization"):
+            monkeypatch.setitem(verification.SUITES, name, spy(name))
+        verification.run_suites(["polylog"])
+        assert seen["polylog"] == PrecisionContext(digits=20, budget=100_000, tolerance=1e-10)
+        verification.run_suites(["polylog", "regularization"], tol=1e-6)
+        assert seen == {"polylog": PrecisionContext(digits=20, budget=100_000, tolerance=1e-6),
+                        "regularization": PrecisionContext(digits=20, budget=200_000, tolerance=1e-6)}
 
     def test_size_one_chosen_suite_takes_reaches_it(self, capsys):
         code, out, _ = run(capsys, "verify", "regularization", "corollary", "--max-weight", "2")

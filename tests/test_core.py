@@ -526,6 +526,12 @@ class TestMatrixRank:
             code = f"import sys, {module}; sys.exit('numpy' in sys.modules)"
             assert subprocess.run([sys.executable, "-c", code]).returncode == 0, module
 
+    def test_cli_import_leaves_mpmath_out(self):
+        # only the numeric commands need mpmath; numerics imports it on first use
+        for module in ("mzvkit", "mzvkit.cli"):
+            code = f"import sys, {module}; sys.exit('mpmath' in sys.modules)"
+            assert subprocess.run([sys.executable, "-c", code]).returncode == 0, module
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(DomainError, match="row 0 has 1 entries, row 1 has 2"):
             matrix_rank([[1], [2, 5]])

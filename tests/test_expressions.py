@@ -231,6 +231,21 @@ class TestEvaluate:
         value = evaluate(parse("1/2 + 1/3"))
         assert value.kind == SCALAR and value.scalar == Fraction(5, 6)
 
+    @pytest.mark.parametrize("text", ["3*sh([1],[2])", "-sh([1],[2])", "msh(2; [1], [2])",
+                                      "msh(2; [1 | 1], [2 | 0])", "[1 | 1]", "st([1 | 1], [2 | 2])", "-3"])
+    def test_integer_literals_keep_int_coefficients(self, text):
+        value = evaluate(parse(text))
+        if value.kind == SCALAR:
+            assert type(value.scalar) is int
+            return
+        assert value.combo and all(type(c) is int for _, c in value.combo.items())
+        assert all(type(r) is int for b, _ in value.combo.items() for r in getattr(b, "r_row", ()))
+
+    def test_a_fraction_literal_brings_fraction(self):
+        value = evaluate(parse("3/2*sh([1],[2])"))
+        assert {type(c) for _, c in value.combo.items()} == {Fraction}
+        assert value.combo == LinComb({C(1, 2): Fraction(3, 2), C(2, 1): 3})
+
     def test_runtime_domain_error(self):
         with pytest.raises(DomainError):
             evaluate(parse("st([0],[1])"))

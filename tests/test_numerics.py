@@ -1,18 +1,21 @@
-import importlib
+import importlib.util
 import math
 import pkgutil
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
 import mzvkit
-from mzvkit import numerics, regularization
+from mzvkit import compositions, numerics, regularization
 from mzvkit.compositions import (
     BiComposition,
     Composition,
+    _trusted_composition,
     convergent_compositions,
     ones,
     shuffle,
@@ -39,7 +42,7 @@ from mzvkit.numerics import (
     zeta_nonpos,
     zeta_pos,
 )
-from mzvkit.regularization import build_rho
+from mzvkit.regularization import build_rho, shuffle_regularize, stuffle_regularize
 
 CTX = PrecisionContext(digits=20, budget=200_000, tolerance=1e-3)
 TIGHT = PrecisionContext(digits=20, budget=200_000, tolerance=1e-10)
@@ -528,5 +531,101 @@ def test_every_package_cache_is_bounded():
             if callable(getattr(value, "cache_parameters", None)):
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert caches.pop("numerics._bernoulli_minus") is None
-    assert {"numerics._mp", "numerics._zeta_pos_cached", "regularization._rho_cached"} <= caches.keys()
+    assert {"numerics._mp", "numerics._zeta_pos_cached", "numerics._zdir_cached",
+            "regularization._rho_cached"} <= caches.keys()
     assert {name: size for name, size in caches.items() if size is None} == {}
+
+
+_DIVERGES = ("nested sum diverges: the levels before the first damped one must "
+             "form a convergent index (first entry >= 2, all >= 1)")
+
+
+class TestOneLookupPerHit:
+    """A cached evaluator checks its key inside the cache and the caller's context around it."""
+
+    def test_repeat_returns_the_cached_object(self):
+        s, b = C(3, 1, 2), BiComposition.make([2, 1, 1], [0, 0, 1])
+        assert mzv_eval(s, CTX) is mzv_eval(s, TIGHT)
+        assert li_eval(C(2, 0, 1), 0.5, CTX) is li_eval(C(2, 0, 1), 0.5, CTX)
+        assert z_directional(b, -0.5, CTX) is z_directional(b, -0.5, CTX)
+        assert stuffle(C(1, 2), C(2)) is stuffle(C(1, 2), C(2))
+        assert stuffle_regularize(C(1, 1, 2)) is stuffle_regularize(C(1, 1, 2))
+
+    @pytest.mark.parametrize("call, cache, error, message", [
+        (lambda: stuffle(C(0), C(1)), compositions._stuffle_entries, DomainError,
+         "stuffle is defined on positive compositions: [0], [1]"),
+        (lambda: stuffle(C(2), C(1, 0)), compositions._stuffle_entries, DomainError,
+         "stuffle is defined on positive compositions: [2], [1,0]"),
+        (lambda: shuffle_regularize(C(0, 1)), regularization._regularize_cached, DomainError,
+         "regularization is defined on positive compositions: [0,1]"),
+        (lambda: stuffle_regularize(C(0, 1)), regularization._regularize_cached, DomainError,
+         "regularization is defined on positive compositions: [0,1]"),
+        (lambda: mzv_eval(C(1, 2), CTX), numerics._mzv_cached, DomainError,
+         "MZV evaluation needs a convergent composition: [1,2]"),
+        (lambda: li_eval(C(1), 1.0, CTX), numerics._li_cached, DomainError,
+         "polylogarithm needs |z| < 1, got 1.0"),
+        (lambda: li_eval(C(1), -1, CTX), numerics._li_cached, DomainError,
+         "polylogarithm needs |z| < 1, got -1"),
+        # a Composition holds no negative entry; one built past its checks does
+        (lambda: li_eval(_trusted_composition((2, -1)), 0.5, CTX), numerics._li_cached, DomainError,
+         "polylogarithm entries must be >= 0: [2,-1]"),
+        (lambda: z_directional(BiComposition.make([2], [1]), 0.0, CTX), numerics._zdir_cached,
+         DomainError, "directional regularization needs eps < 0, got 0.0"),
+        (lambda: z_directional(BiComposition.make([2], [1]), 0.5, CTX), numerics._zdir_cached,
+         DomainError, "directional regularization needs eps < 0, got 0.5"),
+        (lambda: z_directional(BiComposition.make([2], [1]), math.nan, CTX), numerics._zdir_cached,
+         DomainError, "directional regularization needs eps < 0, got nan"),
+        (lambda: z_directional(BiComposition.make([2], [1]), math.inf, CTX), numerics._zdir_cached,
+         DomainError, "directional regularization needs eps < 0, got inf"),
+        (lambda: z_directional(BiComposition.make([2], [1]), -math.inf, CTX), numerics._zdir_cached,
+         DomainError, "directional regularization needs a finite eps, got -inf"),
+        (lambda: z_directional(BiComposition.make([1, 2], [0, 1]), -0.5, CTX), numerics._zdir_cached,
+         DivergenceError, _DIVERGES),
+        (lambda: z_directional(BiComposition.make([2, 0, 1], [0, 0, 1]), -0.5, CTX), numerics._zdir_cached,
+         DivergenceError, _DIVERGES),
+    ])
+    def test_invalid_key_raises_on_every_call_and_is_not_stored(self, call, cache, error, message):
+        size = cache.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(error) as caught:
+                call()
+            assert type(caught.value) is error and str(caught.value) == message
+        assert cache.cache_info().currsize == size
+
+    def test_cached_value_still_meets_the_callers_tolerance(self):
+        s = C(2, 1, 1)
+        value, error = mzv_eval(s, CTX)
+        assert 1e-16 < error <= 1e-3
+        for _ in range(2):
+            with pytest.raises(PrecisionError, match="not certifiable at tolerance 1e-16"):
+                mzv_eval(s, PrecisionContext(digits=20, budget=200_000, tolerance=1e-16))
+        assert mzv_eval(s, CTX) == (value, error)
+
+    def test_zdir_cache_matches_the_uncached_series(self):
+        rng = random.Random(2028)
+        ctx = PrecisionContext(digits=20, budget=200_000, tolerance=1e-8)
+        inputs = []
+        while len(inputs) < 100:
+            depth = rng.randint(1, 3)
+            r_row = [rng.choice([0, 0, Fraction(1, 2), 1, 2]) for _ in range(depth)]
+            k = next((i for i, r in enumerate(r_row) if r > 0), depth)
+            s_row = [rng.randint(2, 3)] + [rng.randint(1, 3) for _ in range(k - 1)]
+            s_row = (s_row[:k] + [rng.randint(-1, 3) for _ in range(depth - k)])[:depth]
+            inputs.append((BiComposition.make(s_row, r_row), -rng.uniform(0.2, 2.0)))
+        uncached = numerics._zdir_cached.__wrapped__
+        want = [uncached(b, eps, ctx) for b, eps in inputs]
+        for _ in range(2):
+            numerics._zdir_cached.cache_clear()
+            assert [z_directional(b, eps, ctx) for b, eps in inputs] == want
+            assert [z_directional(b, eps, ctx) for b, eps in inputs] == want
+        assert numerics._zdir_cached.cache_info().currsize == len(set(inputs))
+
+    def test_zdir_cache_emptied_with_the_package_caches(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        z_directional(BiComposition.make([2, 1], [0, 1]), -0.5, CTX)
+        assert numerics._zdir_cached.cache_info().currsize > 0
+        spans.clear_package_caches()
+        assert numerics._zdir_cached.cache_info().currsize == 0
