@@ -332,7 +332,7 @@ def build_rho(order: int, ctx: PrecisionContext = DEFAULT_CTX) -> RhoMap:
     The values are those of ``zeta_pos``, so every tolerance that gives
     ``zeta_pos`` its bits gives one table.  The checks come before the
     lookup: a negative order raises ``DomainError``, and a budget below the
-    terms of zeta(max(order, 2)), the largest value read, ``PrecisionError``.
+    terms of zeta(max(order, 2)), as many as every value read, ``PrecisionError``.
     """
     if order < 0:
         raise DomainError("order must be >= 0")

@@ -1,5 +1,7 @@
+import dataclasses
 import importlib.util
 import math
+import pickle
 import pkgutil
 import random
 import subprocess
@@ -65,6 +67,17 @@ class TestPrecisionContext:
         with pytest.raises(DomainError):
             PrecisionContext(tolerance=float("inf"))
 
+    def test_hash_kept_in_a_slot(self):
+        ctx = PrecisionContext(digits=30, budget=5_000, tolerance=1e-9)
+        twin = PrecisionContext(digits=30, budget=5_000, tolerance=1e-9)
+        assert ctx is not twin and ctx == twin and hash(ctx) == hash(twin)
+        assert hash(ctx) == hash((30, 5_000, 1e-9))
+        for copy in (dataclasses.replace(ctx), pickle.loads(pickle.dumps(ctx))):
+            assert copy == ctx and hash(copy) == hash(ctx)
+        moved = dataclasses.replace(ctx, digits=40)
+        assert hash(moved) == hash(PrecisionContext(digits=40, budget=5_000, tolerance=1e-9))
+        assert repr(ctx) == "PrecisionContext(digits=30, budget=5000, tolerance=1e-09)"
+
 
 class TestZetaPos:
     def test_against_closed_forms(self):
@@ -100,22 +113,25 @@ class TestZetaPos:
                 assert abs(zeta_pos(n, ctx) - mpmath.zeta(n)) < mpmath.mpf(10) ** -300, n
 
     def test_budget_caps_the_series(self):
+        # 1000 digits run at 3330 bits, 1334 Borwein terms
         with pytest.raises(PrecisionError):
-            zeta_pos(3, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+            zeta_pos(3, PrecisionContext(digits=1000, budget=1_000, tolerance=1e-3))
 
     def test_cache_keyed_on_bits_not_tolerance(self):
         # at 20 digits every tolerance above 2^-75 (about 2.6e-23) runs at 75 bits
         _zeta_pos_cached.cache_clear()
         values = {zeta_pos(3, PrecisionContext(digits=20, budget=200_000, tolerance=10 ** (-3 - 17 * i / 499)))
                   for i in range(500)}
-        assert [(v.man, v.exp) for v in values] == [(372018592480162675590000819, -88)]
+        assert [(v.man, v.exp) for v in values] == [(90824851679727215720215, -76)]
         info = _zeta_pos_cached.cache_info()
         assert info.currsize == 1 and info.maxsize is not None
+        with mpmath.workprec(75 + 64):
+            assert abs(values.pop() - mpmath.zeta(3)) < mpmath.mpf(2) ** -75
 
     def test_budget_checked_past_a_cached_value(self):
-        zeta_pos(3, PrecisionContext(digits=400, budget=200_000, tolerance=1e-3))
+        zeta_pos(3, PrecisionContext(digits=1000, budget=200_000, tolerance=1e-3))
         with pytest.raises(PrecisionError, match="over budget 1000"):
-            zeta_pos(3, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+            zeta_pos(3, PrecisionContext(digits=1000, budget=1_000, tolerance=1e-3))
 
     def test_evicted_mp_context_changes_no_value(self):
         # an evicted context is rebuilt at the same precision; a table built
@@ -130,6 +146,35 @@ class TestZetaPos:
             assert [v._mpf_ for v in again[0]] == [v._mpf_ for v in first[0]]
             assert ([v._mpf_ for v in again[1].gamma + again[1].delta]
                     == [v._mpf_ for v in first[1].gamma + first[1].delta])
+
+
+def _bits_of_contexts():
+    contexts = [PrecisionContext(digits=d) for d in (15, 20, 50, 100, 300, 1000)]
+    contexts += [PrecisionContext(tolerance=10.0**-e) for e in (20, 23, 25, 27, 30)]
+    return sorted({numerics._zeta_bits(2, ctx) for ctx in contexts})
+
+
+class TestBorwein:
+    @pytest.mark.parametrize("bits", _bits_of_contexts())
+    def test_within_two_to_the_minus_bits(self, bits):
+        with mpmath.workprec(bits + 64):
+            for n in range(2, 61):
+                fixed, scale = numerics._borwein(n, bits)
+                assert abs(mpmath.ldexp(fixed, -scale) - mpmath.zeta(n)) < mpmath.ldexp(1, -bits), n
+
+    def test_budget_edge_is_the_term_count(self):
+        ctx = PrecisionContext(digits=1000, budget=200_000)
+        terms = numerics._borwein_terms(numerics._zeta_bits(3, ctx))
+        assert terms == 1334
+        numerics._zeta_bits(3, dataclasses.replace(ctx, budget=terms))
+        with pytest.raises(PrecisionError, match=f"zeta\\(3,\\) needs {terms} terms, over budget {terms - 1}"):
+            numerics._zeta_bits(3, dataclasses.replace(ctx, budget=terms - 1))
+
+    def test_thousand_digits(self):
+        ctx = PrecisionContext(digits=1000, budget=200_000, tolerance=1e-15)
+        with mpmath.workdps(1030):
+            for n in (2, 3, 12, 31):
+                assert abs(zeta_pos(n, ctx) - mpmath.zeta(n)) < mpmath.mpf(10) ** -1002, n
 
 
 class TestZetaNonpos:

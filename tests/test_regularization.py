@@ -513,15 +513,15 @@ class TestRhoCache:
         assert info.currsize == 9 and info.misses == 9 and info.maxsize is not None
 
     def test_budget_checked_past_a_cached_table(self):
-        build_rho(6, PrecisionContext(digits=400, budget=200_000, tolerance=1e-3))
+        build_rho(6, PrecisionContext(digits=1000, budget=200_000, tolerance=1e-3))
         with pytest.raises(PrecisionError, match=r"zeta\(6,\) needs \d+ terms, over budget 1000"):
-            build_rho(6, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+            build_rho(6, PrecisionContext(digits=1000, budget=1_000, tolerance=1e-3))
 
     def test_low_orders_check_the_budget_of_zeta_2(self):
         # orders 0 and 1 read zeta(2) for the zero of the tables
         for order in (0, 1):
             with pytest.raises(PrecisionError, match=r"zeta\(2,\)"):
-                build_rho(order, PrecisionContext(digits=400, budget=1_000, tolerance=1e-3))
+                build_rho(order, PrecisionContext(digits=1000, budget=1_000, tolerance=1e-3))
 
     def test_negative_order(self):
         reg._rho_cached.cache_clear()
