@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from decimal import Decimal
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from . import expressions as expr
@@ -70,16 +71,10 @@ def _emit(args, text: str) -> None:
         print(body)
 
 
-def _basis_json(kind: str, basis) -> str:
-    """JSON text of one basis element, at the indent of a term's fields."""
-    if kind == expr.WORD:
-        return encode_basestring_ascii(str(basis))
-    if kind == expr.BICOMPOSITION:
-        s_row = reg.json_join(map(str, basis.s_row), "\n        ")
-        r_row = reg.json_join(map(reg.fraction_json, basis.r_row), "\n        ")
-        return reg.json_join(('"s": ' + s_row, '"r": ' + r_row), "\n      ", "{}")
-    entries = basis.entries if kind == expr.COMPOSITION else basis.exponents
-    return reg.json_join(map(str, entries), "\n      ")
+# the separators of json.dumps(..., indent=2) in an eval export: between
+# terms, between the entries of a basis list, and between the entries of a
+# two-row symbol's row (every basis is nonempty, so no list prints as [])
+_TERM, _ENTRY, _ROW_ENTRY = ",\n    ", ",\n        ", ",\n          "
 
 
 def _value_to_json(value: expr.Value) -> str:
@@ -87,17 +82,36 @@ def _value_to_json(value: expr.Value) -> str:
 
     Each term is ``{"basis", "coeff"}``: a word as its text, a composition or
     a tensor as its entry list, a two-row symbol as ``{"s", "r"}`` lists;
-    coefficients and r entries are ``fraction_str`` strings.
+    coefficients and r entries are ``fraction_str`` strings.  The text is
+    written in one pass, one f-string per term, and each distinct int
+    coefficient or r entry is encoded once per call.
     """
     if value.kind == expr.SCALAR:
-        fields = ('"kind": "scalar"', '"value": ' + reg.fraction_json(value.scalar))
-    else:
-        terms = [
-            reg.json_join(('"basis": ' + _basis_json(value.kind, b), '"coeff": ' + reg.fraction_json(c)), "\n    ", "{}")
-            for b, c in value.combo.sorted_items()
-        ]
-        fields = ('"kind": ' + encode_basestring_ascii(value.kind), '"terms": ' + reg.json_join(terms, "\n  "))
-    return reg.json_join(fields, "\n", "{}")
+        return f'{{\n  "kind": "scalar",\n  "value": {reg.fraction_json(value.scalar)}\n}}'
+    numbers: dict[int, str] = {}  # int coefficient or r entry -> its JSON string
+
+    def number(c) -> str:
+        if type(c) is not int:  # a Fraction hashes slower than it formats
+            return reg.fraction_json(c)
+        text = numbers.get(c)
+        if text is None:
+            text = numbers[c] = reg.fraction_json(c)
+        return text
+
+    kind = value.kind
+    terms = []
+    for basis, coeff in value.combo.sorted_items():
+        if kind == expr.WORD:
+            text = encode_basestring_ascii(str(basis))
+        elif kind == expr.BICOMPOSITION:
+            text = (f'{{\n        "s": [\n          {_ROW_ENTRY.join(map(str, basis.s_row))}\n        ],'
+                    f'\n        "r": [\n          {_ROW_ENTRY.join(map(number, basis.r_row))}\n        ]\n      }}')
+        else:
+            entries = basis.entries if kind == expr.COMPOSITION else basis.exponents
+            text = f"[\n        {_ENTRY.join(map(str, entries))}\n      ]"
+        terms.append(f'{{\n      "basis": {text},\n      "coeff": {number(coeff)}\n    }}')
+    body = f"[\n    {_TERM.join(terms)}\n  ]" if terms else "[]"
+    return f'{{\n  "kind": {encode_basestring_ascii(kind)},\n  "terms": {body}\n}}'
 
 
 def _value_csv(value: expr.Value) -> str:
@@ -115,8 +129,20 @@ def _render(args, value, as_text, as_json, as_csv) -> str:
     return {"text": as_text, "json": as_json, "csv": as_csv}[args.format](value)
 
 
+@lru_cache(maxsize=4096)
+def _value(text: str) -> expr.Value:
+    """The value of an expression text, kept per text: a repeat is one lookup.
+
+    Keyed on the text, not on the parsed node: nodes compare equal across
+    scalar types (``2`` and ``2/1``), so a node key would hand one text the
+    int or Fraction coefficients of the other.  A text that raises is not
+    kept and raises again on every call.
+    """
+    return expr.evaluate(expr.parse(text))
+
+
 def _cmd_eval(args) -> str:
-    return _render(args, expr.evaluate(expr.parse(args.expression)), str, _value_to_json, _value_csv)
+    return _render(args, _value(args.expression), str, _value_to_json, _value_csv)
 
 
 def _relations_text(rels) -> str:

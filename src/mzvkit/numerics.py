@@ -51,13 +51,16 @@ class PrecisionContext:
     returning; operations that can do better cheaply (zeta values,
     geometrically damped sums) go well below it and report their actual
     bound.  The hash is computed once and kept in a hidden slot, as for
-    ``Composition``: a context is part of every evaluator's cache key.
+    ``Composition``: a context is part of every evaluator's cache key.  So
+    are the bits ``zeta_pos`` runs to (``_zeta_bits``), which depend on
+    digits and tolerance only.
     """
 
     digits: int = 20
     budget: int = 100_000
     tolerance: float = 1e-3
     _hash: int = field(init=False, repr=False, compare=False)
+    _bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.digits < 15:
@@ -67,6 +70,9 @@ class PrecisionContext:
         if not 0 < self.tolerance < math.inf:
             raise DomainError(f"tolerance must be positive and finite, got {self.tolerance}")
         object.__setattr__(self, "_hash", hash((self.digits, self.budget, self.tolerance)))
+        # 2^-bits <= min(tolerance, 10^-(digits+2))
+        object.__setattr__(self, "_bits", max(math.ceil(-math.log2(self.tolerance)),
+                                              math.ceil((self.digits + 2) * math.log2(10)) + 1))
 
     def __hash__(self) -> int:
         return self._hash
@@ -402,9 +408,10 @@ def zeta_pos(n: int, ctx: PrecisionContext = DEFAULT_CTX) -> mpmath.mpf:
 
 
 def _zeta_bits(n: int, ctx: PrecisionContext) -> int:
-    """The bits zeta(n) runs to at ctx, 2^-bits <= min(ctx.tolerance, 10^-(digits+2));
-    past ``ctx.budget`` Borwein terms (``_borwein_terms``) it raises ``PrecisionError``."""
-    bits = max(math.ceil(-math.log2(ctx.tolerance)), math.ceil((ctx.digits + 2) * math.log2(10)) + 1)
+    """The bits zeta(n) runs to at ctx, 2^-bits <= min(ctx.tolerance, 10^-(digits+2)),
+    kept by the context; past ``ctx.budget`` Borwein terms (``_borwein_terms``)
+    it raises ``PrecisionError``."""
+    bits = ctx._bits
     terms = _borwein_terms(bits)
     if terms > ctx.budget:
         raise PrecisionError(f"zeta{(n,)} needs {terms} terms, over budget {ctx.budget}")

@@ -457,8 +457,9 @@ def json_join(items: Iterable[str], newline: str, brackets: str = "[]") -> str:
     Each item is the text of one element (for an object, of one ``"key":
     value`` pair) already encoded at the indent one step past the indent
     that ``newline`` ends in.  With no items this is ``[]`` or ``{}``.
-    This is the one JSON encoder of the exports: with ``indent`` set,
-    ``json.dumps`` falls back to its pure-Python encoder.
+    This is the JSON encoder of the relation and T-polynomial exports
+    (``eval`` writes its fixed layout in one pass, ``cli._value_to_json``):
+    with ``indent`` set, ``json.dumps`` falls back to its pure-Python encoder.
     """
     inner = newline + "  "
     body = ("," + inner).join(items)

@@ -16,7 +16,7 @@ from mzvkit import compositions
 from mzvkit import expressions as expr
 from mzvkit import verification
 from mzvkit.cli import main
-from mzvkit.core import LinComb
+from mzvkit.core import DomainError, LinComb
 from mzvkit.numerics import PrecisionContext
 from mzvkit.regularization import fraction_str
 from mzvkit.words import Word
@@ -39,6 +39,69 @@ def _value_json(value: expr.Value) -> dict:
             rendered = list(basis.exponents)
         terms.append({"basis": rendered, "coeff": fraction_str(coeff)})
     return {"kind": value.kind, "terms": terms}
+
+
+def _eval_pool(seed: int, count: int) -> list[str]:
+    """``count`` distinct seeded eval texts over every kind: sums with int and
+    Fraction coefficients, r rows of ints and of fractions, scaled
+    differences, zero results and scalars."""
+    rng = random.Random(seed)
+
+    def scalar():
+        return rng.choice((str(rng.randint(1, 5)), f"{rng.randint(1, 5)}/{rng.randint(1, 6)}"))
+
+    def comp(low=1):
+        return f"[{','.join(str(rng.randint(low, 3)) for _ in range(rng.randint(1, 3)))}]"
+
+    def word():
+        return "".join(f"x{rng.randint(0, 1)}" for _ in range(rng.randint(0, 4))) + "x1"
+
+    def tensor():
+        return f"({','.join([str(rng.randint(0, 3)) for _ in range(rng.randint(0, 3))] + [str(rng.randint(1, 2))])})"
+
+    def symbol():
+        # an r row of ints, or of ints and fractions
+        depth = rng.randint(1, 3)
+        entries = ("0", "1", "2") if rng.random() < 0.5 else ("0", "1", "1/2", "2/3", "5/4")
+        r_row = ",".join(rng.choice(entries) for _ in range(depth))
+        return f"[{','.join(str(rng.randint(1, 3)) for _ in range(depth))} | {r_row}]"
+
+    def scaled_difference(make):
+        a, b = make(), make()
+        return f"{scalar()}*{a} - {scalar()}*{b}"
+
+    def commuted():
+        a, b = comp(), comp()
+        return f"st({a}, {b}) - st({b}, {a})"
+
+    def zero(make):
+        a, c = make(), scalar()
+        return f"{a} - {a}" if make is scalar or rng.random() < 0.5 else f"{c}*{a} - {c}*{a}"
+
+    templates = (
+        lambda: f"-{scalar()}*sh({word()}, {word()})",
+        lambda: scaled_difference(lambda: f"sh({word()}, {word()})"),
+        lambda: f"I0({word()}) + {word()}",
+        lambda: f"sh({comp(0)}, {comp(0)})",
+        lambda: f"st({comp()}, {comp()}) - {scalar()}*{comp()}",
+        lambda: f"msh({scalar()}; {comp()}, {comp()})",
+        lambda: scaled_difference(lambda: f"I({comp()})"),
+        lambda: f"eta({word()})",
+        lambda: f"st({symbol()}, {symbol()})",
+        lambda: f"msh({scalar()}; {symbol()}, {symbol()})",
+        lambda: scaled_difference(symbol),
+        lambda: f"sh({tensor()}, {tensor()})",
+        lambda: f"{scalar()}*f({tensor()})",
+        lambda: scaled_difference(lambda: f"Px({tensor()})"),
+        lambda: f"phi({tensor()})",
+        lambda: f"-{scalar()} + {scalar()}",
+        commuted,
+        *(lambda make=make: zero(make) for make in (word, comp, tensor, symbol, scalar)),
+    )
+    texts: dict[str, None] = {}
+    while len(texts) < count:
+        texts.setdefault(templates[len(texts) % len(templates)](), None)
+    return list(texts)
 
 
 def run(capsys, *argv):
@@ -82,58 +145,29 @@ class TestEval:
         assert out == json.dumps(_value_json(value), indent=2) + "\n"
 
     def test_seeded_json_matches_standard_encoder(self, capsys):
-        # every value kind, sums with int and Fraction coefficients, and zero
-        # results, which print an empty term list
-        rng = random.Random(25)
-
-        def entries(low):
-            return ",".join(str(rng.randint(low, 3)) for _ in range(rng.randint(1, 3)))
-
-        def word():
-            return "".join(f"x{rng.randint(0, 1)}" for _ in range(rng.randint(0, 4))) + "x1"
-
-        def tensor():
-            return f"({','.join([str(rng.randint(0, 3)) for _ in range(rng.randint(0, 3))] + ['2'])})"
-
-        def symbol():
-            depth = rng.randint(1, 3)
-            r_row = ",".join(rng.choice(("0", "1", "1/2", "2/3")) for _ in range(depth))
-            return f"[{','.join(str(rng.randint(1, 3)) for _ in range(depth))} | {r_row}]"
-
-        def scalar():
-            return f"{rng.randint(1, 5)}/{rng.randint(1, 6)}"
-
-        def commuted():
-            a, b = f"[{entries(1)}]", f"[{entries(1)}]"
-            return f"st({a}, {b}) - st({b}, {a})"
-
-        def cancelled():
-            a = rng.choice((word, tensor, symbol, scalar))()
-            return f"{a} - {a}"
-
-        templates = (
-            lambda: f"{rng.randint(1, 3)}*sh({word()}, {word()})",
-            lambda: f"sh([{entries(0)}], [{entries(0)}])",
-            lambda: f"st([{entries(1)}], [{entries(1)}]) - {scalar()}*[{entries(1)}]",
-            lambda: f"st({symbol()}, {symbol()})",
-            lambda: f"msh({scalar()}; {symbol()}, {symbol()})",
-            lambda: f"sh({tensor()}, {tensor()})",
-            lambda: f"f({tensor()})",
-            commuted,
-            cancelled,
-            lambda: f"-{scalar()}",
-        )
-        kinds = set()
-        for i in range(120):
-            text = templates[i % len(templates)]()
+        # zero results print an empty term list; no text evaluates to the
+        # empty word, which test_json_escapes_the_empty_word builds by hand
+        kinds, zeros, coeff_types, r_types = set(), set(), set(), set()
+        for text in _eval_pool(25, 240):
             value = expr.evaluate(expr.parse(text))
-            kinds.add((value.kind, value.scalar == 0 if value.kind == expr.SCALAR else len(value.combo) == 0))
-            code, out, _ = run(capsys, "eval", "--format", "json", "--", text)
-            assert code == 0
-            assert out == json.dumps(_value_json(value), indent=2) + "\n", text
+            want = json.dumps(_value_json(value), indent=2)
+            assert cli._value_to_json(value) == want, text
+            assert run(capsys, "eval", "--format", "json", "--", text) == (0, want + "\n", ""), text
+            kinds.add(value.kind)
+            if value.kind == expr.SCALAR:
+                coeff_types.add(type(value.scalar))
+                if value.scalar == 0:
+                    zeros.add(value.kind)
+                continue
+            if not value.combo:
+                zeros.add(value.kind)
+            for basis, coeff in value.combo.items():
+                coeff_types.add(type(coeff))
+                if value.kind == expr.BICOMPOSITION:
+                    r_types.update(map(type, basis.r_row))
         every = {expr.WORD, expr.COMPOSITION, expr.BICOMPOSITION, expr.TENSOR, expr.SCALAR}
-        assert {kind for kind, _ in kinds} == every
-        assert {kind for kind, zero in kinds if zero} == every
+        assert kinds == zeros == every
+        assert coeff_types == r_types == {int, Fraction}
 
     def test_json_escapes_the_empty_word(self):
         # the empty word, the shuffle unit, prints as ε: json.dumps writes it as \u03b5
@@ -162,6 +196,39 @@ class TestEval:
         run(capsys, "zeta", "3", "--digits", "30")
         _, after, _ = run(capsys, *first)
         assert after == before
+
+
+class TestValueCache:
+    """``cli._value`` keeps the value of each eval text; errors are raised, never kept."""
+
+    def test_repeat_is_one_object(self):
+        for text in ("sh([1,2],[3])", "st([2,1 | 1/2,0], [1 | 1])", "f((1,2))", "x0x1 - x0x1", "3/4"):
+            assert cli._value(text) is cli._value(text)
+
+    @pytest.mark.parametrize("text, exc, code, message", [
+        ("sh([1],[2]", expr.ExprSyntaxError, 2, "syntax error: expected ')' at offset 10"),
+        ("I(x1)", expr.KindError, 1, "error: I is not defined on (word); it accepts (composition)"),
+        ("[1,-1]", DomainError, 1, "error: composition entries must be >= 0: [1,-1]"),
+        ("[1 | -1]", DomainError, 1, "error: direction entries must be >= 0: [1 | -1]"),
+    ])
+    def test_error_raises_on_every_call_and_is_not_kept(self, capsys, text, exc, code, message):
+        before = cli._value.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(exc) as info:
+                cli._value(text)
+            assert message.endswith(str(info.value))
+            assert run(capsys, "eval", text) == (code, "", message + "\n")
+        assert cli._value.cache_info().currsize == before
+
+    @pytest.mark.parametrize("texts", [("2/1*[2]", "2*[2]"), ("2*[2]", "2/1*[2]")])
+    def test_scalar_type_follows_the_text(self, texts):
+        # 2 and 2/1 parse to equal nodes; the text key keeps their values apart
+        cli._value.cache_clear()
+        for text in texts:
+            cli._value(text)
+        assert [type(c) for _, c in cli._value("2/1*[2]").combo.items()] == [Fraction]
+        assert [type(c) for _, c in cli._value("2*[2]").combo.items()] == [int]
+        assert type(cli._value("2/1").scalar) is Fraction and type(cli._value("2").scalar) is int
 
 
 class TestExitCodes:

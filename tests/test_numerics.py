@@ -78,6 +78,17 @@ class TestPrecisionContext:
         assert hash(moved) == hash(PrecisionContext(digits=40, budget=5_000, tolerance=1e-9))
         assert repr(ctx) == "PrecisionContext(digits=30, budget=5000, tolerance=1e-09)"
 
+    @pytest.mark.parametrize("digits, tol", [(15, 1e-3), (20, 1e-8), (30, 1e-40), (1000, 1e-15), (50, 2.0**-400)])
+    def test_zeta_bits_kept_in_a_slot(self, digits, tol):
+        # computed once at construction, and again by replace and unpickling
+        want = max(math.ceil(-math.log2(tol)), math.ceil((digits + 2) * math.log2(10)) + 1)
+        ctx = PrecisionContext(digits=digits, budget=200_000, tolerance=tol)
+        assert ctx._bits == want and 2.0**-want <= tol and want >= (digits + 2) * math.log2(10)
+        assert pickle.loads(pickle.dumps(ctx))._bits == want
+        assert dataclasses.replace(ctx, budget=1_000)._bits == want
+        assert dataclasses.replace(ctx, tolerance=1e-300)._bits == max(want, 997)  # 2^-997 <= 1e-300
+        assert "_bits" not in repr(ctx) and ctx == dataclasses.replace(ctx)
+
 
 class TestZetaPos:
     def test_against_closed_forms(self):
@@ -577,7 +588,7 @@ def test_every_package_cache_is_bounded():
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert caches.pop("numerics._bernoulli_minus") is None
     assert {"numerics._mp", "numerics._zeta_pos_cached", "numerics._zdir_cached",
-            "regularization._rho_cached"} <= caches.keys()
+            "regularization._rho_cached", "cli._value"} <= caches.keys()
     assert {name: size for name, size in caches.items() if size is None} == {}
 
 
