@@ -6,12 +6,12 @@ linear combinations over an arbitrary hashable basis with exact
 coefficients (:class:`LinComb`), polynomials in the formal symbol T over a
 caller-chosen coefficient ring (:class:`TPoly`), and, in their own modules,
 polynomials in MZV symbols and Laurent polynomials in eps.  Next to them
-sit the generic mixable shuffle recursion that the word shuffle, the
-composition shuffle and both quasi-shuffle products instantiate, and the
-certified exact matrix rank.  Terms are added with zero sums dropped by one
-helper, :func:`_add_into`; :meth:`LinComb.map_basis` needs it only when its
-basis map merges terms.  The shuffle recursion needs no pruning: its
-coefficients never cancel.
+sit the generic mixable shuffle, built bottom-up over suffix positions, that
+the word shuffle, the composition shuffle and both quasi-shuffle products
+instantiate, and the certified exact matrix rank.  Terms are added with zero
+sums dropped by one helper, :func:`_add_into`; :meth:`LinComb.map_basis`
+needs it only when its basis map merges terms.  The mixable shuffle needs no
+pruning: its coefficients never cancel.
 Coefficients are ``int`` unless a non-integer scalar enters (:func:`_exact`).
 Values are immutable after construction and safe to share between threads.
 Every :func:`mixable_shuffle` call builds its products from scratch and
@@ -414,33 +414,34 @@ def _integer_row(row: list) -> dict[int, int]:
 def _certified_rank(rows: list[dict[int, int]], ncols: int) -> int:
     """Rank over Q of the matrix with nonzero sparse integer rows and ``ncols`` columns.
 
-    For each prime p of a fixed sequence, the rows are brought to echelon
-    form mod p, which gives rank_p, the pivot columns and one kernel vector
-    per free column (1 on that column, 0 on the other free ones).  Since
-    rank_p <= rank_Q, a prime whose rank is lower than one seen before is
-    unlucky and dropped, and so is one with the same rank but pivots further
-    right (some column prefix lost rank mod p).  The kernels of the primes
-    sharing the best pivot columns are combined by CRT and lifted to Q by
-    rational reconstruction.  If ``M·K = 0`` holds in exact integers, K is
-    n - rank_p independent kernel vectors over Q (identity on the free
-    columns), so rank_Q <= rank_p and the rank is certified; otherwise the
-    next prime joins.  The loop ends: only finitely many primes are unlucky,
-    and by Cramer's rule reconstruction returns the true kernel once the
-    CRT modulus exceeds 2·H² for the Hadamard bound H of the matrix.
+    For each prime p of a fixed sequence, one elimination mod p
+    (``_eliminate``) gives rank_p, the pivot columns and one kernel vector
+    per free column (1 on that column, 0 on the other free ones); no matrix
+    is kept between primes.  Since rank_p <= rank_Q, a prime whose rank is
+    lower than one seen before is unlucky and dropped, and so is one with
+    the same rank but pivots further right (some column prefix lost rank
+    mod p).  The kernels of the primes sharing the best pivot columns are
+    combined by CRT and lifted to Q by rational reconstruction.  If
+    ``M·K = 0`` holds in exact integers, K is n - rank_p independent kernel
+    vectors over Q (identity on the free columns), so rank_Q <= rank_p and
+    the rank is certified; otherwise the next prime joins.  The loop ends:
+    only finitely many primes are unlucky, and by Cramer's rule
+    reconstruction returns the true kernel once the CRT modulus exceeds
+    2·H² for the Hadamard bound H of the matrix.
     """
     best: list[int] | None = None
     for p in _primes():
-        a, pivots = _echelon(rows, ncols, p)
+        pivots, free, kernel = _eliminate(rows, ncols, p)
         if len(pivots) == min(len(rows), ncols):
             return len(pivots)  # rank_p <= rank_Q <= min(m, n)
         if best is None or len(pivots) > len(best) or (len(pivots) == len(best) and pivots < best):
-            best, residues, modulus = pivots, _kernel(a, pivots, p), p
+            best, residues, modulus = pivots, kernel, p
         elif pivots == best:
-            residues = _crt(residues, modulus, _kernel(a, pivots, p), p)
+            residues = _crt(residues, modulus, kernel, p)
             modulus *= p
         else:
             continue
-        vectors = _lift(residues, modulus, pivots, ncols)
+        vectors = _lift(residues, modulus, pivots, free)
         if vectors is not None and _annihilates(rows, vectors):
             return len(pivots)
 
@@ -472,11 +473,15 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-def _echelon(rows: list[dict[int, int]], ncols: int, p: int):
-    """Row echelon form modulo the prime p of the integer rows, and its pivot columns.
+def _eliminate(rows: list[dict[int, int]], ncols: int, p: int):
+    """Pivot columns, free columns and kernel modulo the prime p of the integer rows.
 
-    Pivot entries are 1.  Each pivot updates only the rows below it that are
-    nonzero in its column, and only from that column on.
+    The rows are brought to echelon form with pivot entries 1; each pivot
+    updates only the rows below it that are nonzero in its column, and only
+    from that column on.  If rank_p < min(m, n), back substitution gives one
+    kernel vector per free column, 1 on it and 0 on the other free columns,
+    as its residues on the pivot columns in order; otherwise the kernel is
+    ``[]``.  Only lists are returned, so the matrix is freed on return.
     """
     import numpy as np  # only rank needs numpy; ``import mzvkit`` stays without it
 
@@ -503,26 +508,16 @@ def _echelon(rows: list[dict[int, int]], ncols: int, p: int):
             block %= p
             a[below, c:] = block
         pivots.append(c)
-    return a, pivots
-
-
-def _kernel(a, pivots: list[int], p: int) -> list[list[int]]:
-    """Kernel modulo p of echelon rows, by back substitution.
-
-    Vector k is 1 on the k-th free column and 0 on the other free columns;
-    it is given by its residues on the pivot columns, in order.
-    """
-    import numpy as np
-
-    ncols = a.shape[1]
-    free = sorted(set(range(ncols)) - set(pivots))
+    free = sorted(set(range(ncols)).difference(pivots))
+    if len(pivots) == min(len(rows), ncols):
+        return pivots, free, []
     x = np.zeros((ncols, len(free)), dtype=np.int64)
     x[free, range(len(free))] = 1
     for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
         # at most ncols residues below 2**31 are summed: no int64 overflow; numpy % is >= 0
         x[c] = -(a[i, c + 1:, None] * x[c + 1:] % p).sum(axis=0) % p
-    return x[pivots].T.tolist()
+    return pivots, free, x[pivots].T.tolist()
 
 
 def _crt(residues: list[list[int]], modulus: int, kernel: list[list[int]], p: int) -> list[list[int]]:
@@ -535,7 +530,7 @@ def _crt(residues: list[list[int]], modulus: int, kernel: list[list[int]], p: in
 
 
 def _lift(
-    residues: list[list[int]], modulus: int, pivots: list[int], ncols: int
+    residues: list[list[int]], modulus: int, pivots: list[int], free: list[int]
 ) -> list[list[int]] | None:
     """Dense integer kernel vectors from their residues, or None if one fails to lift.
 
@@ -544,7 +539,6 @@ def _lift(
     far in its vector; the vector is scaled by their product.
     """
     bound = isqrt(modulus // 2)
-    free = sorted(set(range(ncols)) - set(pivots))
     vectors = []
     for col, res in zip(free, residues):
         den, nums = 1, []
@@ -557,7 +551,7 @@ def _lift(
                 nums = [x * q_den for x in nums]
                 den *= q_den
             nums.append(num)
-        vec = [0] * ncols
+        vec = [0] * (len(pivots) + len(free))
         vec[col] = den
         for c, num in zip(pivots, nums):
             vec[c] = num

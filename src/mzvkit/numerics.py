@@ -112,21 +112,17 @@ def _mp(digits: int) -> mpmath.ctx_mp.MPContext:
 
 
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number with the B(1) = +1/2 convention, as an exact rational."""
+    """Bernoulli number with the B(1) = +1/2 convention, as an exact rational.
+
+    B(0), ..., B(n) with B(1) = -1/2 are built in one loop from
+    sum_{j<=m} C(m+1, j) B(j) = 0; nothing is kept between calls.
+    """
     if n < 0:
         raise DomainError("Bernoulli numbers need n >= 0")
-    value = _bernoulli_minus(n)
-    return -value if n == 1 else value
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_minus(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n + 1, j) * _bernoulli_minus(j)
-    return -total / (n + 1)
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        values.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(values)) / (m + 1))
+    return -values[n] if n == 1 else values[n]
 
 
 def zeta_nonpos(i: int) -> Fraction:

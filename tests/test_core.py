@@ -558,18 +558,49 @@ class TestMatrixRank:
 
     def test_zero_rows_are_dropped(self, monkeypatch):
         seen = []
-        echelon = core._echelon
+        eliminate = core._eliminate
 
         def spy(rows, ncols, p):
             seen.append(len(rows))
-            return echelon(rows, ncols, p)
+            return eliminate(rows, ncols, p)
 
-        monkeypatch.setattr(core, "_echelon", spy)
+        monkeypatch.setattr(core, "_eliminate", spy)
         assert matrix_rank(iter([[0, 0], [1, 2], [0, Fraction(0)]])) == 1
         assert seen == [1]
 
+    def test_eliminate_partitions_columns_and_kernel_vanishes(self, monkeypatch):
+        # the oracle test's matrices and the relation matrices of weights 3 to 10
+        from mzvkit import regularization as reg
+
+        first, eliminate, seen = next(core._primes()), core._eliminate, []
+
+        def spy(rows, ncols, p):
+            out = eliminate(rows, ncols, p)
+            if p == first:
+                seen.append((rows, ncols, out))
+            return out
+
+        monkeypatch.setattr(core, "_eliminate", spy)
+        self.test_random_against_fraction_oracle()
+        for weight in range(3, 11):
+            reg.relation_rank(weight)
+        vectors = 0
+        for rows, ncols, (pivots, free, kernel) in seen:
+            assert sorted(pivots + free) == list(range(ncols))
+            if len(pivots) == min(len(rows), ncols):
+                assert kernel == []
+                continue
+            assert len(kernel) == len(free)
+            for col, residues in zip(free, kernel):
+                vec = dict.fromkeys(free, 0) | dict(zip(pivots, residues)) | {col: 1}
+                for row in rows:
+                    assert sum(v * vec[j] for j, v in row.items()) % first == 0
+                vectors += 1
+        assert vectors > 0
+
     def test_relation_rank_holds_one_dense_row(self):
-        # the rows reach matrix_rank one at a time; only their sparse forms are kept
+        # the rows reach matrix_rank one at a time; only their sparse forms are kept,
+        # and two primes run but one 3.0 MB modular matrix is held at a time
         import tracemalloc
 
         import numpy  # noqa: F401  # its import is not part of the peak
@@ -582,7 +613,7 @@ class TestMatrixRank:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20, peak
+        assert peak < 8 * 2**20, peak
 
 
 def fraction_rank(rows):
@@ -607,12 +638,12 @@ def fraction_rank(rows):
 def _ranks_mod_p(monkeypatch):
     """Record the rank found modulo each prime that matrix_rank tries."""
     ranks = []
-    echelon = core._echelon
+    eliminate = core._eliminate
 
     def spy(rows, ncols, p):
-        a, pivots = echelon(rows, ncols, p)
+        pivots, free, kernel = eliminate(rows, ncols, p)
         ranks.append(len(pivots))
-        return a, pivots
+        return pivots, free, kernel
 
-    monkeypatch.setattr(core, "_echelon", spy)
+    monkeypatch.setattr(core, "_eliminate", spy)
     return ranks

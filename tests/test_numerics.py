@@ -201,6 +201,15 @@ class TestZetaNonpos:
         assert bernoulli(4) == Fraction(-1, 30)
         assert bernoulli(3) == 0
 
+    def test_bernoulli_matches_mpmath(self):
+        # mpmath takes B(1) = -1/2, the package +1/2
+        with mpmath.workdps(60):
+            for n in range(61):
+                b = bernoulli(n) * (-1 if n == 1 else 1)
+                assert b == Fraction(*mpmath.bernfrac(n)), n
+                assert mpmath.almosteq(mpmath.mpf(b.numerator) / b.denominator,
+                                       mpmath.bernoulli(n), rel_eps=mpmath.mpf(10) ** -55), n
+
 
 class TestPolylog:
     def test_geometric_case(self):
@@ -576,8 +585,6 @@ def test_format_value():
 
 
 def test_every_package_cache_is_bounded():
-    # _bernoulli_minus is the one exception: each value reads every lower
-    # one, so a bound would evict entries the recursion asks for again
     caches = {}
     for info in pkgutil.iter_modules(mzvkit.__path__):
         if info.name == "__main__":  # importing it runs the command line
@@ -586,7 +593,6 @@ def test_every_package_cache_is_bounded():
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_parameters", None)):
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert caches.pop("numerics._bernoulli_minus") is None
     assert {"numerics._mp", "numerics._zeta_pos_cached", "numerics._zdir_cached",
             "regularization._rho_cached", "cli._value"} <= caches.keys()
     assert {name: size for name, size in caches.items() if size is None} == {}
