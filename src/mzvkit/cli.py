@@ -220,6 +220,11 @@ def _cmd_verify(args) -> tuple[str, str | None]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the sub-parser of each command."""
     parser = argparse.ArgumentParser(
         prog="mzvkit",
         description="Exact shuffle/quasi-shuffle algebra for multiple zeta values",
@@ -287,15 +292,34 @@ def build_parser() -> argparse.ArgumentParser:
     # declared last, so it stays the last flag in the usage and help of every command
     for p in sub.choices.values():
         p.add_argument("--out", metavar="FILE", help="write data to FILE instead of stdout")
-    return parser
+    return parser, sub.choices
 
 
-# built once at import, so repeated main() calls in one process share it
-PARSER = build_parser()
+# built once at import, so repeated main() calls in one process share them
+PARSER, _COMMANDS = _build_parsers()
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``PARSER.parse_args(argv)``, with one parse where the first word is a command.
+
+    The top-level parser hands every word after the command to that
+    command's sub-parser and adds only ``command``, so the sub-parser alone
+    gives the same namespace, and its own usage and exit on an error or
+    ``-h``.  An empty argv, an unknown first word or words the sub-parser
+    leaves over go to ``PARSER``, which writes its own message.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return PARSER.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         # a handler returns its text; verify also returns its failure note
         text = args.run(args)

@@ -142,11 +142,24 @@ def _regularize_cached(entries: tuple[int, ...], kind: str) -> TPoly:
     lead = expansion.coeff(s)
     if lead != count:
         raise AssertionError(f"peeling invariant broken at {s}: {lead} != {count}")
-    acc = {deg + 1: c for deg, c in _regularize_cached(base.entries, kind).items()}
+    # one flat {(degree, monomial): c} pass, split by degree once at the end
+    flat = dict(_flat_terms(_regularize_cached(base.entries, kind), 1))
     for term, coeff in expansion.items():
         if term != s:
-            _add_into(acc, _regularize_cached(term.entries, kind).items(), -coeff)
-    return TPoly._new(acc).scale(Fraction(1, count))
+            _add_into(flat, _flat_terms(_regularize_cached(term.entries, kind), 0), -coeff)
+    # with one leading 1 every other term is convergent: the coefficients stay int
+    if count > 1:
+        ratio = Fraction(1, count)
+        flat = {key: c * ratio for key, c in flat.items()}
+    by_degree: dict = {}
+    for (deg, mono), c in flat.items():
+        by_degree.setdefault(deg, {})[mono] = c
+    return TPoly._new({deg: ZetaExpr._new(terms) for deg, terms in by_degree.items()})
+
+
+def _flat_terms(poly: TPoly, shift: int) -> Iterator[tuple]:
+    """((degree + shift, monomial), c) for every term of a regularized polynomial."""
+    return (((deg + shift, mono), c) for deg, expr in poly.items() for mono, c in expr.items())
 
 
 def leading_ones_decomposition(

@@ -1,12 +1,15 @@
 import argparse
 import functools
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -571,6 +574,32 @@ class TestVerifyCommand:
         assert code == 1 and failed and err == f"{len(failed)} check(s) failed\n"
         assert ("FAIL structure: shuffle transport identity exhaustive to weight 7 (321 pairs)"
                 " (first failing input: [1], [1])") in failed
+
+
+GOLDEN_ARGV = [r["argv"] for r in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())]
+DISPATCH_ARGV = [
+    ["li", "[1]", "--", "-0.5"], ["li", "--tol", "1e-6", "[1]", "--", "-0.5"],
+    ["eds", "--weight=5"], ["--weight=5"], ["zsh", "[1,2]", "--form", "csv"],
+    ["eds", "--weight", "5", "--bogus"], ["--bogus", "eds", "--weight", "5"], ["eval"], ["li", "[1]"],
+    ["-h"], ["zeta", "-h"], ["verify", "--help"], [], ["nosuch"], ["nosuch", "--weight", "5"],
+    ["zsh", "[1]", "--out", "first", "--out", "second"], ["eval", "[1]", "extra"],
+]
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """The namespace ``parse(argv)`` returns, or its exit code and printed text."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), redirect_stdout(out), redirect_stderr(err):
+        try:
+            return ("namespace", vars(parse(argv)))
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV + DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_parses_as_the_top_level_parser(argv):
+    # main sends a known command straight to its sub-parser
+    assert _parse_outcome(cli._parse, list(argv)) == _parse_outcome(cli.PARSER.parse_args, list(argv))
 
 
 def test_parser_is_built_once_at_import(monkeypatch, capsys):

@@ -165,6 +165,26 @@ def _bits_of_contexts():
     return sorted({numerics._zeta_bits(2, ctx) for ctx in contexts})
 
 
+def _borwein_reference(n: int, bits: int) -> tuple[int, int]:
+    """``numerics._borwein`` as it was before its weights were kept per bits:
+    the recurrence for t_i and d_k runs again on every call."""
+    terms = numerics._borwein_terms(bits)
+    t = d = 1
+    partial = [d]
+    for i in range(1, terms + 1):
+        t, r = divmod(t * 2 * (terms + i - 1) * (terms - i + 1), i * (2 * i - 1))
+        assert not r
+        d += t
+        partial.append(d)
+    scale = bits + 3
+    total = 0
+    for k in range(terms):
+        term = ((d - partial[k]) << scale) // (k + 1) ** n
+        total += -term if k & 1 else term
+    half = 1 << (n - 1)
+    return total * half // (d * (half - 1)), scale
+
+
 class TestBorwein:
     @pytest.mark.parametrize("bits", _bits_of_contexts())
     def test_within_two_to_the_minus_bits(self, bits):
@@ -172,6 +192,15 @@ class TestBorwein:
             for n in range(2, 61):
                 fixed, scale = numerics._borwein(n, bits)
                 assert abs(mpmath.ldexp(fixed, -scale) - mpmath.zeta(n)) < mpmath.ldexp(1, -bits), n
+
+    @pytest.mark.parametrize("digits", [20, 100, 1000])
+    def test_equals_the_per_call_recurrence(self, digits):
+        bits = numerics._zeta_bits(2, PrecisionContext(digits=digits))
+        numerics._borwein_weights.cache_clear()
+        for n in range(2, 61):
+            assert numerics._borwein(n, bits) == _borwein_reference(n, bits), n
+        # one table per precision, built on the first call
+        assert numerics._borwein_weights.cache_info()[:2] == (58, 1)
 
     def test_budget_edge_is_the_term_count(self):
         ctx = PrecisionContext(digits=1000, budget=200_000)
@@ -594,7 +623,7 @@ def test_every_package_cache_is_bounded():
             if callable(getattr(value, "cache_parameters", None)):
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert {"numerics._mp", "numerics._zeta_pos_cached", "numerics._zdir_cached",
-            "regularization._rho_cached", "cli._value"} <= caches.keys()
+            "numerics._borwein_weights", "regularization._rho_cached", "cli._value"} <= caches.keys()
     assert {name: size for name, size in caches.items() if size is None} == {}
 
 

@@ -149,6 +149,37 @@ class TestStuffleRegularization:
         assert poly.degree() == 4
 
 
+# sha256 prefixes of `mzvkit zsh|zst <s> --format text|json|csv` on stdout,
+# concatenated over every positive composition s of weight 1..8 in canonical
+# order; recorded before the peeling summed its terms in one flat pass
+REGULARIZE_DIGESTS = {
+    ("zsh", "text"): "93a7d50678a3b6b6", ("zsh", "json"): "6e5f3b785f8e525b", ("zsh", "csv"): "786d0cbbc0557888",
+    ("zst", "text"): "241de14f26d8bad9", ("zst", "json"): "9a55ca881b64aab8", ("zst", "csv"): "26d946287d819132",
+}
+POSITIVE_TO_8 = [s for w in range(1, 9) for s in positive_compositions(w)]
+
+
+class TestRegularizedOutput:
+    @pytest.mark.parametrize("command", ["zsh", "zst"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_bytes_unchanged(self, capsys, command, fmt):
+        digest = hashlib.sha256()
+        for s in POSITIVE_TO_8:
+            assert cli.main([command, str(s), "--format", fmt]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest()[:16] == REGULARIZE_DIGESTS[command, fmt]
+
+    @pytest.mark.parametrize("regularize", [shuffle_regularize, stuffle_regularize])
+    def test_coefficients_are_int_below_two_leading_ones(self, regularize):
+        # only the division by a leading-ones count of 2 or more makes a Fraction
+        inputs = [s for s in POSITIVE_TO_8 if s.leading_ones() <= 1]
+        # [1], then 2^(w-2) convergent and 2^(w-3) of the form [1, convergent] at weight w
+        assert len(inputs) == 1 + 1 + sum(3 * 2 ** (w - 3) for w in range(3, 9))
+        for s in inputs:
+            for _, expr in regularize(s).items():
+                assert all(type(c) is int for _, c in expr.monomials()), (s, expr)
+
+
 class TestMultiplicativity:
     @pytest.mark.parametrize("regularize,product", [
         (shuffle_regularize, shuffle),
